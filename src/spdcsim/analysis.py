@@ -10,21 +10,12 @@ principal-axis orientation used throughout.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .kernel import MODE_GAUSSIAN_APPROX, SPECTRAL_MONOCHROMATIC, TransverseWavevector
-from .trace import (
-    DetectionAssignment,
-    OpticalSystem,
-    build_quadratic_form,
-    integrate_gaussian,
-    integrate_gaussian_antidiagonal,
-    integrate_quadrature,
-    pinhole_smooth,
-    spatial_biphoton,
-)
+from .kernel import MODE_GAUSSIAN_APPROX, TransverseWavevector
+from .trace import DetectionAssignment, OpticalSystem, pinhole_smooth, spatial_biphoton
 
 AXES = ("x", "y")
 
@@ -33,7 +24,6 @@ AXES = ("x", "y")
 _VARIANCE_RATIO_CAP = 25.0
 
 _WINDOW_SIGMAS = 3.0
-_PRESCAN_POINTS = 16
 
 
 class DegenerateDistributionError(ValueError):
@@ -120,13 +110,16 @@ class AssignmentComparison:
         return min(diff, math.pi - diff)
 
 
-def _momentum_pair(plan: ScanPlan, system: OpticalSystem, grid_a, grid_b):
-    """Detector momenta as TransverseWavevectors for the plan's axis."""
-    lam_a = system.fourier.wavelength_at("A", plan.assignment)
-    lam_b = system.fourier.wavelength_at("B", plan.assignment)
-    ortho_a = system.fourier.position_to_momentum(plan.orthogonal, lam_a)
-    ortho_b = system.fourier.position_to_momentum(plan.orthogonal, lam_b)
-    if plan.axis == "y":
+def _momentum_pair(axis, assignment, orthogonal, system: OpticalSystem, grid_a, grid_b):
+    """Detector momenta as TransverseWavevectors for a scan along ``axis``.
+
+    ``orthogonal`` is the fixed detector position (m) on the other axis.
+    """
+    lam_a = system.fourier.wavelength_at("A", assignment)
+    lam_b = system.fourier.wavelength_at("B", assignment)
+    ortho_a = system.fourier.position_to_momentum(orthogonal, lam_a)
+    ortho_b = system.fourier.position_to_momentum(orthogonal, lam_b)
+    if axis == "y":
         q_A = TransverseWavevector(qx=ortho_a, qy=grid_a)
         q_B = TransverseWavevector(qx=ortho_b, qy=grid_b)
     else:
@@ -151,25 +144,14 @@ def run_scan(
     momenta_a = system.fourier.position_to_momentum(positions_a, lam_a)
     momenta_b = system.fourier.position_to_momentum(positions_b, lam_b)
 
-    resolved_method = method
-    if resolved_method is None:
-        resolved_method = (
-            "closed_form" if system.mode == MODE_GAUSSIAN_APPROX else "quadrature"
-        )
     grid_a, grid_b = np.meshgrid(momenta_a, momenta_b, indexing="ij")
-    q_A, q_B = _momentum_pair(plan, system, grid_a, grid_b)
+    q_A, q_B = _momentum_pair(
+        plan.axis, plan.assignment, plan.orthogonal, system, grid_a, grid_b
+    )
     q_A.check_paraxial(lam_a)
     q_B.check_paraxial(lam_b)
-    if resolved_method == "closed_form":
-        amplitude = spatial_biphoton(q_A, q_B, system, plan.assignment, method="closed_form")
-        values = np.abs(amplitude) ** 2
-    else:
-        values = np.empty((plan.points, plan.points))
-        for i, qa in enumerate(momenta_a):
-            for j, qb in enumerate(momenta_b):
-                q_A, q_B = _momentum_pair(plan, system, float(qa), float(qb))
-                amplitude = integrate_quadrature(q_A, q_B, system, plan.assignment)
-                values[i, j] = abs(amplitude) ** 2
+    amplitude = spatial_biphoton(q_A, q_B, system, plan.assignment, method=method)
+    values = np.abs(amplitude) ** 2
 
     if pinhole_diameter:
         steps = (positions_a[1] - positions_a[0], positions_b[1] - positions_b[0])
@@ -227,41 +209,24 @@ def summarize(dist: JointDistribution) -> CorrelationSummary:
     )
 
 
-def _model_log_intensity(system, axis, assignment, q_a, q_b) -> float:
-    """log |amplitude|^2 of the Gaussian-model trace at scalar scan momenta."""
-    if axis == "y":
-        q_A = TransverseWavevector(qx=0.0, qy=q_a)
-        q_B = TransverseWavevector(qx=0.0, qy=q_b)
-    else:
-        q_A = TransverseWavevector(qx=q_a, qy=0.0)
-        q_B = TransverseWavevector(qx=q_b, qy=0.0)
-    form = build_quadratic_form(
-        q_A, q_B, assignment, system.geometry, system.pump,
-        system.filter_e, system.filter_o,
-    )
-    if system.pump.spectral_mode == SPECTRAL_MONOCHROMATIC:
-        amplitude = integrate_gaussian_antidiagonal(form)
-    else:
-        amplitude = integrate_gaussian(form)
-    return 2.0 * math.log(abs(complex(amplitude)))
+def _gaussian_model_moments(axis, assignment, system, orthogonal=0.0):
+    """Momentum mean and covariance of the scan predicted by the Gaussian model.
 
-
-def _gaussian_model_covariance(system, axis, assignment) -> np.ndarray:
-    """Momentum covariance of the scan predicted by the Gaussian model.
-
-    The traced log-intensity is exactly quadratic in the scan momenta for
-    the Gaussian-approximated mode, so six samples recover its Hessian; the
-    same estimate sizes windows for the exact-sinc mode. Directions the
-    model leaves unconstrained (pure ridges) are capped at a fixed variance
-    ratio to the constrained one.
+    The traced log-intensity of the Gaussian-approximated mode is exactly
+    quadratic in the scan momenta, so six samples recover its gradient and
+    Hessian; the mean follows from the first, the covariance from the
+    second. The same moments size windows for the exact-sinc mode.
+    Directions the model leaves unconstrained (pure ridges) are capped at a
+    fixed variance ratio to the constrained one.
     """
     h = 1.0e4  # rad/m; any value works on an exact quadratic, this one conditions well
-    e00 = _model_log_intensity(system, axis, assignment, 0.0, 0.0)
-    ep0 = _model_log_intensity(system, axis, assignment, h, 0.0)
-    em0 = _model_log_intensity(system, axis, assignment, -h, 0.0)
-    e0p = _model_log_intensity(system, axis, assignment, 0.0, h)
-    e0m = _model_log_intensity(system, axis, assignment, 0.0, -h)
-    epp = _model_log_intensity(system, axis, assignment, h, h)
+    q_a = np.array([0.0, h, -h, 0.0, 0.0, h])
+    q_b = np.array([0.0, 0.0, 0.0, h, -h, h])
+    q_A, q_B = _momentum_pair(axis, assignment, orthogonal, system, q_a, q_b)
+    model = replace(system, mode=MODE_GAUSSIAN_APPROX)
+    amplitude = spatial_biphoton(q_A, q_B, model, assignment, method="closed_form")
+    e00, ep0, em0, e0p, e0m, epp = 2.0 * np.log(np.abs(amplitude))
+    gradient = np.array([ep0 - em0, e0p - e0m]) / (2.0 * h)
     precision = np.array(
         [
             [-(ep0 + em0 - 2.0 * e00), -(epp - ep0 - e0p + e00)],
@@ -275,7 +240,10 @@ def _gaussian_model_covariance(system, axis, assignment) -> np.ndarray:
             "scan model predicts an unbounded distribution in every direction"
         )
     eigenvalues = np.maximum(eigenvalues, stiffest / _VARIANCE_RATIO_CAP)
-    return vectors @ np.diag(1.0 / eigenvalues) @ vectors.T
+    covariance = vectors @ np.diag(1.0 / eigenvalues) @ vectors.T
+    # the capped covariance keeps the mean finite along a ridge, where the
+    # gradient component vanishes with the curvature
+    return covariance @ gradient, covariance
 
 
 def auto_plan(
@@ -285,48 +253,26 @@ def auto_plan(
     points: int,
     *,
     orthogonal: float = 0.0,
-    prescan_points: int = _PRESCAN_POINTS,
 ) -> ScanPlan:
-    """Scan window of +-3 marginal widths around the peak of a coarse pre-scan.
+    """Scan window of mean +- 3 model widths from the Gaussian model's closed-form moments.
 
-    A 16x16 pre-scan over the Gaussian-model prediction locates the
-    distribution peak and measures its marginal widths; the returned plan
-    spans peak +- 3 widths per detector.
+    The moments are taken at the plan's ``orthogonal`` offset, from the
+    Gaussian-approximated mode whatever mode ``system`` itself traces.
     """
-    model_cov = _gaussian_model_covariance(system, axis, assignment)
+    mean, covariance = _gaussian_model_moments(axis, assignment, system, orthogonal)
+    half = _WINDOW_SIGMAS * np.sqrt(np.diag(covariance))
     lam_a = system.fourier.wavelength_at("A", assignment)
     lam_b = system.fourier.wavelength_at("B", assignment)
-    half_a = _WINDOW_SIGMAS * math.sqrt(model_cov[0, 0])
-    half_b = _WINDOW_SIGMAS * math.sqrt(model_cov[1, 1])
-    prescan = ScanPlan(
-        axis=axis,
-        assignment=assignment,
-        range_a=(
-            system.fourier.momentum_to_position(-half_a, lam_a),
-            system.fourier.momentum_to_position(half_a, lam_a),
-        ),
-        range_b=(
-            system.fourier.momentum_to_position(-half_b, lam_b),
-            system.fourier.momentum_to_position(half_b, lam_b),
-        ),
-        points=prescan_points,
-        orthogonal=orthogonal,
-    )
-    coarse = run_scan(prescan, system, normalize=False)
-    summary = summarize(coarse)
-    width_a = _WINDOW_SIGMAS * math.sqrt(summary.covariance[0, 0])
-    width_b = _WINDOW_SIGMAS * math.sqrt(summary.covariance[1, 1])
-    center_a, center_b = summary.peak
     return ScanPlan(
         axis=axis,
         assignment=assignment,
         range_a=(
-            system.fourier.momentum_to_position(center_a - width_a, lam_a),
-            system.fourier.momentum_to_position(center_a + width_a, lam_a),
+            system.fourier.momentum_to_position(mean[0] - half[0], lam_a),
+            system.fourier.momentum_to_position(mean[0] + half[0], lam_a),
         ),
         range_b=(
-            system.fourier.momentum_to_position(center_b - width_b, lam_b),
-            system.fourier.momentum_to_position(center_b + width_b, lam_b),
+            system.fourier.momentum_to_position(mean[1] - half[1], lam_b),
+            system.fourier.momentum_to_position(mean[1] + half[1], lam_b),
         ),
         points=points,
         orthogonal=orthogonal,

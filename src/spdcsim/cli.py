@@ -26,8 +26,8 @@ from .analysis import (
     summarize,
     waist_sweep,
 )
-from .config import ResolvedRun, default_config, load_config, resolve
-from .dispersion import UniaxialCrystal, load_material
+from .config import ResolvedRun, default_config, load_config, load_crystal_material, resolve
+from .dispersion import UniaxialCrystal
 from .kernel import (
     TransverseWavevector,
     mismatch_longitudinal,
@@ -190,18 +190,8 @@ def cmd_transition(args) -> int:
     return 0
 
 
-def _material_source(config, base_dir):
-    material = config.crystal.material_file
-    path = Path(material)
-    if base_dir is not None and not path.is_absolute() and path.suffix:
-        candidate = base_dir / path
-        if candidate.exists():
-            return candidate
-    return material
-
-
 def _check_material(config, base_dir):
-    model = load_material(_material_source(config, base_dir))
+    model = load_crystal_material(config, base_dir)
     lo, hi = model.valid_range_um
     grid = np.linspace(lo * 1.001, hi * 0.999, 64) * 1e-6
     for lam in grid:
@@ -256,7 +246,7 @@ def _check_mismatch(config, base_dir):
 
 def _check_walkoff(config, base_dir):
     crystal = UniaxialCrystal(
-        sellmeier=load_material(_material_source(config, base_dir)),
+        sellmeier=load_crystal_material(config, base_dir),
         cut_angle=math.radians(config.crystal.cut_angle_deg),
     )
     lam = config.filters.center_nm * 1e-9
@@ -278,7 +268,7 @@ def _check_walkoff(config, base_dir):
 
 def _check_group_slowness(config, base_dir):
     crystal = UniaxialCrystal(
-        sellmeier=load_material(_material_source(config, base_dir)),
+        sellmeier=load_crystal_material(config, base_dir),
         cut_angle=math.radians(config.crystal.cut_angle_deg),
     )
     lam = config.filters.center_nm * 1e-9

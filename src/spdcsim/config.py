@@ -18,8 +18,8 @@ from pathlib import Path
 
 import yaml
 
-from . import dispersion
-from .dispersion import C_LIGHT, UniaxialCrystal, load_material
+from . import __version__, dispersion
+from .dispersion import SellmeierModel, UniaxialCrystal, load_material
 from .kernel import (
     MODE_EXACT_SINC,
     MODE_GAUSSIAN_APPROX,
@@ -34,8 +34,6 @@ from .trace import (
     OpticalSystem,
     SpectralFilter,
 )
-
-_FWHM_FACTOR = 2.0 * math.sqrt(2.0 * math.log(2.0))
 
 
 class ConfigError(ValueError):
@@ -277,16 +275,27 @@ class ResolvedRun:
     digest: str
 
 
-def resolve(config: RunConfig, *, base_dir: Path | None = None) -> ResolvedRun:
-    """Convert a validated config into an OpticalSystem ready for scanning."""
+def load_crystal_material(config: RunConfig, base_dir: Path | None = None) -> SellmeierModel:
+    """Load the config's material file.
+
+    A ``material_file`` with a suffix that names an existing file relative
+    to ``base_dir`` (the config file's directory) is read from there;
+    otherwise it is a path or the bare name of a builtin material.
+    """
     material = config.crystal.material_file
     path = Path(material)
     if base_dir is not None and not path.is_absolute() and path.suffix:
         candidate = base_dir / path
         if candidate.exists():
             material = candidate
+    return load_material(material)
+
+
+def resolve(config: RunConfig, *, base_dir: Path | None = None) -> ResolvedRun:
+    """Convert a validated config into an OpticalSystem ready for scanning."""
+    sellmeier = load_crystal_material(config, base_dir)
     crystal = UniaxialCrystal(
-        sellmeier=load_material(material),
+        sellmeier=sellmeier,
         cut_angle=math.radians(config.crystal.cut_angle_deg),
     )
     lam_pump = config.pump.wavelength_nm * 1e-9
@@ -304,10 +313,10 @@ def resolve(config: RunConfig, *, base_dir: Path | None = None) -> ResolvedRun:
     )
     sigma_p = None
     if config.pump.spectral_mode == SPECTRAL_GAUSSIAN:
-        delta_omega = (
-            2.0 * math.pi * C_LIGHT * (config.pump.spectral_fwhm_nm * 1e-9) / lam_pump**2
-        )
-        sigma_p = delta_omega / _FWHM_FACTOR
+        # same nm-FWHM to amplitude-sigma conversion as the detection filters
+        sigma_p = SpectralFilter.from_fwhm_nm(
+            config.pump.wavelength_nm, config.pump.spectral_fwhm_nm
+        ).sigma
     pump = PumpEnvelope(
         waist_x=config.pump.waist_x_um * 1e-6,
         waist_y=config.pump.waist_y_um * 1e-6,
@@ -330,6 +339,12 @@ def resolve(config: RunConfig, *, base_dir: Path | None = None) -> ResolvedRun:
         fourier=fourier,
         mode=config.mode,
     )
+    # the digest covers the material data and the version, not only the config
+    payload = json.dumps(
+        {"config": asdict(config), "material": asdict(sellmeier), "version": __version__},
+        sort_keys=True,
+        default=str,
+    )
     scan_range = None
     if config.scan.range_mm is not None:
         scan_range = (config.scan.range_mm[0] * 1e-3, config.scan.range_mm[1] * 1e-3)
@@ -338,11 +353,14 @@ def resolve(config: RunConfig, *, base_dir: Path | None = None) -> ResolvedRun:
         system=system,
         pinhole_diameter=config.optics.pinhole_mm * 1e-3,
         scan_range=scan_range,
-        digest=config_digest(config),
+        digest=hashlib.sha256(payload.encode()).hexdigest()[:16],
     )
 
 
 def config_digest(config: RunConfig) -> str:
-    """Short deterministic digest of the fully-resolved configuration."""
-    payload = json.dumps(asdict(config), sort_keys=True, default=str)
-    return hashlib.sha256(payload.encode()).hexdigest()[:16]
+    """Short deterministic digest of the run that ``resolve(config)`` builds.
+
+    Without a base directory, a relative ``material_file`` is read from the
+    working directory.
+    """
+    return resolve(config).digest

@@ -403,10 +403,10 @@ def spatial_biphoton(
 ):
     """Joint spatial amplitude at a detector-momentum pair, frequency traced out.
 
-    ``method`` is ``"closed_form"`` (Gaussian-approximated mode only,
-    broadcasts over momentum arrays) or ``"quadrature"``; by default the
-    Gaussian mode takes the closed form and the exact-sinc mode the
-    quadrature.
+    ``method`` is ``"closed_form"`` (Gaussian-approximated mode only) or
+    ``"quadrature"``, which evaluates ``integrate_quadrature`` point by
+    point; both broadcast over momentum arrays. By default the Gaussian mode
+    takes the closed form and the exact-sinc mode the quadrature.
     """
     if method is None:
         method = "closed_form" if system.mode == MODE_GAUSSIAN_APPROX else "quadrature"
@@ -421,7 +421,16 @@ def spatial_biphoton(
             return integrate_gaussian_antidiagonal(form)
         return integrate_gaussian(form)
     if method == "quadrature":
-        return integrate_quadrature(q_A, q_B, system, assignment)
+        qx_a, qy_a, qx_b, qy_b = np.broadcast_arrays(q_A.qx, q_A.qy, q_B.qx, q_B.qy)
+        amplitude = np.empty(qx_a.shape, dtype=complex)
+        for index in np.ndindex(amplitude.shape):
+            amplitude[index] = integrate_quadrature(
+                TransverseWavevector(qx=float(qx_a[index]), qy=float(qy_a[index])),
+                TransverseWavevector(qx=float(qx_b[index]), qy=float(qy_b[index])),
+                system,
+                assignment,
+            )
+        return amplitude[()]
     raise ValueError(f"method must be 'closed_form' or 'quadrature', got {method!r}")
 
 

@@ -15,6 +15,7 @@ from spdcsim.analysis import (
     run_scan,
     summarize,
     waist_sweep,
+    _gaussian_model_moments,
 )
 from spdcsim.trace import DetectionAssignment
 
@@ -80,6 +81,39 @@ def test_exact_sinc_quadrature_scan_runs(system):
     dist = run_scan(plan, sinc_system)
     assert np.all(dist.values >= 0.0)
     assert summarize(dist).pearson > 0.0
+
+
+# ---------------------------------------------------------------- auto window
+
+def test_auto_window_follows_orthogonal_offset(system):
+    # the model's covariance does not depend on the offset and the window
+    # moves with its mean, so the sampled shape and its statistic are unchanged
+    pearson = [
+        summarize(
+            run_scan(
+                auto_plan("y", EA, system, 64, orthogonal=offset),
+                system,
+                pinhole_diameter=2e-3,
+            )
+        ).pearson
+        for offset in (0.0, 1e-3)
+    ]
+    assert pearson[1] == pytest.approx(pearson[0], abs=1e-9)
+
+
+@pytest.mark.parametrize("axis", ["y", "x"])
+def test_model_moments_match_wide_fine_scan(system, axis):
+    _, covariance = _gaussian_model_moments(axis, EA, system)
+    model_pearson = covariance[0, 1] / math.sqrt(covariance[0, 0] * covariance[1, 1])
+    auto = auto_plan(axis, EA, system, 256)
+    # twice the auto window about its centre: truncation then costs < 1e-4
+    wide = replace(
+        auto,
+        range_a=tuple(2.0 * np.asarray(auto.range_a) - np.mean(auto.range_a)),
+        range_b=tuple(2.0 * np.asarray(auto.range_b) - np.mean(auto.range_b)),
+    )
+    grid_pearson = summarize(run_scan(wide, system, method="closed_form")).pearson
+    assert grid_pearson == pytest.approx(model_pearson, abs=1e-4)
 
 
 # ---------------------------------------------------------------- summarize

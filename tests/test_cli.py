@@ -1,4 +1,5 @@
 import math
+from pathlib import Path
 
 import pytest
 
@@ -72,6 +73,20 @@ def test_scan_output_is_bitwise_reproducible(tmp_path, fast_config):
     assert main(["scan", "--config", str(fast_config), "--out", str(out1)]) == 0
     assert main(["scan", "--config", str(fast_config), "--out", str(out2)]) == 0
     assert out1.read_bytes() == out2.read_bytes()
+
+
+@pytest.mark.parametrize("name", ["closed_form", "exact_sinc", "pulsed"])
+def test_fixed_window_scan_matches_golden_output(tmp_path, name):
+    # tests/data/golden holds each config with the scan and summary files it
+    # gave; everything after the digest line must stay byte for byte the same
+    golden = Path(__file__).parent / "data" / "golden"
+    out = tmp_path / f"{name}.csv"
+    assert main(["scan", "--config", str(golden / f"{name}.yaml"), "--out", str(out)]) == 0
+    for suffix in ("", ".summary"):
+        expected = (golden / f"{name}.csv{suffix}").read_bytes().split(b"\n")
+        actual = Path(f"{out}{suffix}").read_bytes().split(b"\n")
+        assert expected[0].startswith(b"# config_digest=")
+        assert actual[1:] == expected[1:]
 
 
 # ---------------------------------------------------------------- sweep

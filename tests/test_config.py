@@ -149,17 +149,29 @@ def test_digest_deterministic_and_sensitive(tmp_path):
     assert config_digest(tweaked) != first
 
 
+CUSTOM_MATERIAL = (
+    "name: custom\nprovenance: test fixture\nformula_id: sqrt-abcd\n"
+    "valid_range_um: [0.3, 1.05]\n"
+    "ordinary_coeffs: [2.7359, 0.01878, 0.01822, 0.01354]\n"
+    "extraordinary_coeffs: [2.3753, 0.01224, 0.01667, 0.01516]\n"
+)
+
+
 def test_material_file_relative_to_config(tmp_path):
-    material = tmp_path / "mat.yaml"
-    material.write_text(
-        "name: custom\nprovenance: test fixture\nformula_id: sqrt-abcd\n"
-        "valid_range_um: [0.3, 1.05]\n"
-        "ordinary_coeffs: [2.7359, 0.01878, 0.01822, 0.01354]\n"
-        "extraordinary_coeffs: [2.3753, 0.01224, 0.01667, 0.01516]\n"
-    )
+    (tmp_path / "mat.yaml").write_text(CUSTOM_MATERIAL)
     path = write(tmp_path, "crystal:\n  material_file: mat.yaml\n")
     run = resolve(load_config(path), base_dir=path.parent)
     assert run.system.geometry.crystal_length == 4e-3
+
+
+def test_digest_follows_material_file_contents(tmp_path):
+    material = tmp_path / "mat.yaml"
+    material.write_text(CUSTOM_MATERIAL)
+    path = write(tmp_path, "crystal:\n  material_file: mat.yaml\n")
+    config = load_config(path)
+    first = resolve(config, base_dir=path.parent).digest
+    material.write_text(CUSTOM_MATERIAL.replace("2.7359", "2.7360"))
+    assert resolve(config, base_dir=path.parent).digest != first
 
 
 def test_missing_config_file(tmp_path):
