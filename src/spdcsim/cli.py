@@ -36,16 +36,31 @@ from .kernel import (
 from .trace import DetectionAssignment, integrate_quadrature, spatial_biphoton
 
 
+# printf conversion of each kind of number: exponent, positional, non-finite
+_NUMBER_SPECS = np.array(["%.12e", "%.12g", "%r"], dtype=object)
+
+
+def format_numbers(values) -> list[str]:
+    """Locale-free text of every value, in one formatting call.
+
+    Twelve significant digits, positional inside [1e-3, 1e4] in magnitude and
+    exponent outside it; ``0`` for either zero and ``repr`` for non-finite values.
+    """
+    flat = np.array(values, dtype=float).ravel()
+    if flat.size == 0:
+        return []
+    zero = flat == 0
+    flat[zero] = 0.0  # positional +0.0 prints as "0"
+    magnitude = np.abs(flat)
+    kind = (zero | ((magnitude >= 1e-3) & (magnitude <= 1e4))).astype(np.intp)
+    kind[~np.isfinite(flat)] = 2
+    # no formatted number holds a newline, so one %-format of the joined specs splits back
+    return ("\n".join(_NUMBER_SPECS[kind].tolist()) % tuple(flat.tolist())).split("\n")
+
+
 def format_number(value: float) -> str:
-    """Locale-free numeric formatting: positional inside [1e-3, 1e4], else exponent."""
-    if value == 0:
-        return "0"
-    if not math.isfinite(value):
-        return repr(float(value))
-    magnitude = abs(value)
-    if 1e-3 <= magnitude <= 1e4:
-        return f"{value:.12g}"
-    return f"{value:.12e}"
+    """Locale-free text of one value, by the rule of ``format_numbers``."""
+    return format_numbers(value)[0]
 
 
 def _load(args) -> ResolvedRun:
@@ -80,8 +95,31 @@ def _plan_from(run: ResolvedRun) -> ScanPlan:
     )
 
 
-def _write_lines(path, lines) -> None:
-    Path(path).write_text("\n".join(lines) + "\n")
+def _write(path, lines, blocks=()) -> None:
+    """Write ``lines`` one per line, then each text block of ``blocks`` as it is made."""
+    with open(path, "w") as handle:
+        handle.writelines(f"{line}\n" for line in lines)
+        handle.writelines(blocks)
+
+
+def _csv_rows(table) -> str:
+    """CSV text of a 2-D numeric table, one line per row."""
+    rows, columns = np.shape(table)
+    return ((",".join(["%s"] * columns) + "\n") * rows) % tuple(format_numbers(table))
+
+
+def _grid_rows(dist):
+    """CSV blocks of a scan grid, one per A position; each axis value is formatted once."""
+    x_a, x_b, q_a, q_b = (
+        format_numbers(axis)
+        for axis in (dist.positions_a, dist.positions_b, dist.momenta_a, dist.momenta_b)
+    )
+    fields = [None] * (3 * len(x_b))
+    fields[0::3] = x_b
+    fields[1::3] = q_b
+    for position, momentum, row in zip(x_a, q_a, dist.values):
+        fields[2::3] = format_numbers(row)
+        yield (f"{position},%s,{momentum},%s,%s\n" * len(x_b)) % tuple(fields)
 
 
 def cmd_scan(args) -> int:
@@ -90,28 +128,14 @@ def cmd_scan(args) -> int:
     dist = run_scan(plan, run.system, pinhole_diameter=run.pinhole_diameter)
     summary = summarize(dist)
 
-    lines = [
+    header = [
         f"# config_digest={run.digest}",
         f"# spdcsim {__version__} scan",
         f"# axis={plan.axis} assignment={plan.assignment.value} points={plan.points}",
         f"# mode={run.system.mode} pinhole_mm={run.pinhole_diameter * 1e3:g}",
         "# columns: x_A[m], x_B[m], q_A[rad/m], q_B[rad/m], S[normalized]",
     ]
-    for i in range(plan.points):
-        for j in range(plan.points):
-            lines.append(
-                ",".join(
-                    format_number(v)
-                    for v in (
-                        dist.positions_a[i],
-                        dist.positions_b[j],
-                        dist.momenta_a[i],
-                        dist.momenta_b[j],
-                        dist.values[i, j],
-                    )
-                )
-            )
-    _write_lines(args.out, lines)
+    _write(args.out, header, _grid_rows(dist))
 
     summary_lines = [
         f"# config_digest={run.digest}",
@@ -122,7 +146,7 @@ def cmd_scan(args) -> int:
         f"peak_q_a: {format_number(summary.peak[0])}",
         f"peak_q_b: {format_number(summary.peak[1])}",
     ]
-    _write_lines(str(args.out) + ".summary", summary_lines)
+    _write(str(args.out) + ".summary", summary_lines)
     print(
         f"scan {plan.axis}/{plan.assignment.value}: pearson={summary.pearson:+.4f} "
         f"angle={math.degrees(summary.principal_angle):+.2f} deg -> {args.out}"
@@ -147,14 +171,12 @@ def cmd_sweep(args) -> int:
         points=scan.points,
         pinhole_diameter=run.pinhole_diameter,
     )
-    lines = [
+    header = [
         f"# config_digest={run.digest}",
         f"# spdcsim {__version__} sweep axis={scan.axis}",
         "# columns: waist_um, pearson",
     ]
-    for waist, pearson in results:
-        lines.append(f"{format_number(waist * 1e6)},{format_number(pearson)}")
-    _write_lines(args.out, lines)
+    _write(args.out, header, [_csv_rows([(waist * 1e6, pearson) for waist, pearson in results])])
     print(f"sweep {scan.axis}: {args.steps} waists in [{args.wmin}, {args.wmax}] um -> {args.out}")
     return 0
 
@@ -175,18 +197,12 @@ def cmd_transition(args) -> int:
     )
     print(f"transition_waist_um={format_number(waist * 1e6)}")
     if args.out:
-        _write_lines(
-            args.out,
-            [
-                f"# config_digest={run.digest}",
-                f"# spdcsim {__version__} transition axis={scan.axis}",
-                "# columns: wlo_um, whi_um, tol_um, transition_waist_um",
-                ",".join(
-                    format_number(v)
-                    for v in (args.wlo, args.whi, args.tol, waist * 1e6)
-                ),
-            ],
-        )
+        header = [
+            f"# config_digest={run.digest}",
+            f"# spdcsim {__version__} transition axis={scan.axis}",
+            "# columns: wlo_um, whi_um, tol_um, transition_waist_um",
+        ]
+        _write(args.out, header, [_csv_rows([(args.wlo, args.whi, args.tol, waist * 1e6)])])
     return 0
 
 

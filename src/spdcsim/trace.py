@@ -490,8 +490,12 @@ def pinhole_smooth(values: np.ndarray, steps, diameter: float) -> np.ndarray:
         if taps == 0:
             continue
         weight = 1.0 / (2 * taps + 1)
+        n = grid.shape[axis]
+        padded = np.take(out, np.arange(-taps, n + taps) % n, axis=axis)
         smoothed = np.zeros_like(out)
         for offset in range(-taps, taps + 1):
-            smoothed += np.roll(out, offset, axis=axis)
+            # np.roll(out, offset, axis) is this window of the wrap-padded grid
+            start = taps - offset
+            smoothed += padded[(slice(None),) * axis + (slice(start, start + n),)]
         out = smoothed * weight
     return out

@@ -1,9 +1,15 @@
 import math
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from spdcsim.cli import format_number, main
+from spdcsim import default_config, resolve
+from spdcsim.analysis import auto_plan, run_scan
+from spdcsim.cli import format_number, format_numbers, main
+from spdcsim.trace import DetectionAssignment
 
 FAST_CONFIG = "scan:\n  points: 16\n"
 
@@ -36,6 +42,49 @@ def test_format_number_rules():
     assert "e" in format_number(5e-4)
     assert "e" not in format_number(9999.5)
     assert format_number(2.5e-4) == "2.500000000000e-04"
+
+
+def reference_number(value):
+    """The number rule written per value: the oracle of the array formatter."""
+    if value == 0:
+        return "0"
+    if not math.isfinite(value):
+        return repr(float(value))
+    magnitude = abs(value)
+    if 1e-3 <= magnitude <= 1e4:
+        return f"{value:.12g}"
+    return f"{value:.12e}"
+
+
+SMALLEST_NORMAL = 2.2250738585072014e-308
+EDGE_VALUES = [
+    0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, -5e-324,
+    SMALLEST_NORMAL, float(np.nextafter(SMALLEST_NORMAL, 0.0)),
+    *(
+        sign * float(edge)
+        for sign in (1.0, -1.0)
+        for threshold in (1e-3, 1e4)
+        for edge in (threshold, np.nextafter(threshold, 0.0), np.nextafter(threshold, math.inf))
+    ),
+]
+NUMBERS = st.one_of(
+    st.floats(),
+    st.sampled_from(EDGE_VALUES),
+    st.floats(min_value=-SMALLEST_NORMAL, max_value=SMALLEST_NORMAL),
+)
+
+
+@given(st.lists(NUMBERS, max_size=64))
+def test_format_numbers_follows_the_per_value_rule(values):
+    expected = [reference_number(v) for v in values]
+    assert format_numbers(np.array(values, dtype=float)) == expected
+    assert [format_number(v) for v in values] == expected
+
+
+def test_format_numbers_on_edge_values():
+    assert format_numbers(EDGE_VALUES) == [reference_number(v) for v in EDGE_VALUES]
+    assert format_numbers(np.reshape(EDGE_VALUES[:4], (2, 2))) == ["0", "0", "nan", "inf"]
+    assert format_numbers([]) == []
 
 
 # ---------------------------------------------------------------- scan
@@ -73,6 +122,43 @@ def test_scan_output_is_bitwise_reproducible(tmp_path, fast_config):
     assert main(["scan", "--config", str(fast_config), "--out", str(out1)]) == 0
     assert main(["scan", "--config", str(fast_config), "--out", str(out2)]) == 0
     assert out1.read_bytes() == out2.read_bytes()
+
+
+def test_default_scan_matches_per_value_rows(tmp_path):
+    # the default 64-point auto-window scan, rebuilt one value at a time
+    out = tmp_path / "default.csv"
+    assert main(["scan", "--out", str(out)]) == 0
+    run = resolve(default_config())
+    scan = run.config.scan
+    plan = auto_plan(
+        scan.axis,
+        DetectionAssignment.parse(scan.assignment),
+        run.system,
+        scan.points,
+        orthogonal=scan.orthogonal_mm * 1e-3,
+    )
+    dist = run_scan(plan, run.system, pinhole_diameter=run.pinhole_diameter)
+    expected = [
+        ",".join(
+            reference_number(v)
+            for v in (
+                dist.positions_a[i],
+                dist.positions_b[j],
+                dist.momenta_a[i],
+                dist.momenta_b[j],
+                dist.values[i, j],
+            )
+        )
+        for i in range(plan.points)
+        for j in range(plan.points)
+    ]
+    text = out.read_text()
+    assert text.endswith("\n")
+    rows = [line for line in text.splitlines() if not line.startswith("#")]
+    assert rows == expected
+    assert len(rows) == 64 * 64
+    values = [row.rsplit(",", 1)[1] for row in rows]
+    assert any("e" in v for v in values) and any("e" not in v for v in values)
 
 
 @pytest.mark.parametrize("name", ["closed_form", "exact_sinc", "pulsed"])

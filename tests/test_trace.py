@@ -362,3 +362,34 @@ def test_pinhole_larger_than_window_rejected():
     grid = np.ones((16, 16))
     with pytest.raises(ValueError, match="exceeds the scan span"):
         pinhole_smooth(grid, (1e-4, 1e-4), 1.0)
+
+
+def rolled_pinhole_reference(values, steps, diameter):
+    """The circular top-hat as a sum of np.roll shifts, in ascending offset order."""
+    out = np.array(values, dtype=float)
+    for axis, step in enumerate(steps):
+        taps = int(math.floor(diameter / (2.0 * abs(step)) + 1e-12))
+        if taps == 0:
+            continue
+        smoothed = np.zeros_like(out)
+        for offset in range(-taps, taps + 1):
+            smoothed += np.roll(out, offset, axis=axis)
+        out = smoothed * (1.0 / (2 * taps + 1))
+    return out
+
+
+@pytest.mark.parametrize(
+    "shape, steps, diameter",
+    [
+        ((32, 32), (1e-4, 1e-4), 7.5e-4),  # both axes, square
+        ((24, 41), (1e-4, 3e-5), 1.1e-3),  # non-square, unequal steps
+        ((17, 9), (1e-4, 1e-3), 9e-4),  # taps == 0 along axis 1
+        ((9, 33), (1e-3, 1e-4), 9e-4),  # taps == 0 along axis 0
+        ((15, 15), (1e-4, 1e-4), 1.4e-3),  # widest aperture the span allows
+    ],
+)
+def test_pinhole_matches_rolled_reference_bitwise(shape, steps, diameter):
+    grid = np.random.default_rng(27).uniform(0.0, 1.0, shape)
+    grid[0, 0] = -0.0
+    expected = rolled_pinhole_reference(grid, steps, diameter)
+    assert np.array_equal(pinhole_smooth(grid, steps, diameter), expected)
