@@ -134,7 +134,7 @@ def run_scan(
     *,
     pinhole_diameter: float = 0.0,
     normalize: bool = True,
-    method: str | None = None,
+    method: str = "closed_form",
 ) -> JointDistribution:
     """Evaluate the coincidence rate over the plan's Cartesian position grid."""
     positions_a = np.linspace(plan.range_a[0], plan.range_a[1], plan.points)
@@ -285,7 +285,7 @@ def assignment_sensitivity(
     points: int = 64,
     *,
     pinhole_diameter: float = 0.0,
-    method: str | None = None,
+    method: str = "closed_form",
 ) -> AssignmentComparison:
     """Run both polarizer assignments on one axis and compare summaries."""
     summaries = {}
@@ -313,7 +313,7 @@ def waist_sweep(
     plan: ScanPlan | None = None,
     points: int = 64,
     pinhole_diameter: float = 0.0,
-    method: str | None = None,
+    method: str = "closed_form",
 ) -> list[tuple[float, float]]:
     """Pearson coefficient per isotropic pump waist, on one fixed scan plan."""
     waists = [float(w) for w in waists]
@@ -339,7 +339,7 @@ def find_sign_transition(
     plan: ScanPlan | None = None,
     points: int = 64,
     pinhole_diameter: float = 0.0,
-    method: str | None = None,
+    method: str = "closed_form",
 ) -> float:
     """Bisect the isotropic pump waist where the scan's Pearson sign flips.
 

@@ -311,10 +311,8 @@ def _check_group_slowness(config, base_dir):
     return f"both polarizations, worst relative deviation {worst:.2e}"
 
 
-def _check_closed_form(config, base_dir):
-    system = resolve(config, base_dir=base_dir).system
-    if system.mode != "gaussian_approx":
-        system = replace(system, mode="gaussian_approx")
+def _worst_against_quadrature(system):
+    """Worst relative gap of the closed form to the trapezoid on 5x5 momentum samples."""
     offsets = np.linspace(-2e4, 2e4, 5)
     worst = 0.0
     for qa in offsets:
@@ -334,6 +332,16 @@ def _check_closed_form(config, base_dir):
     return f"5x5 momentum samples, worst relative deviation {worst:.2e}"
 
 
+def _check_closed_form(config, base_dir):
+    system = resolve(config, base_dir=base_dir).system
+    return _worst_against_quadrature(replace(system, mode="gaussian_approx"))
+
+
+def _check_depth_closed_form(config, base_dir):
+    system = resolve(config, base_dir=base_dir).system
+    return _worst_against_quadrature(replace(system, mode="exact_sinc"))
+
+
 def _check_filter_roundtrip(config, base_dir):
     from .trace import SpectralFilter
 
@@ -350,6 +358,7 @@ _CHECKS = [
     ("walkoff-finite-difference", _check_walkoff),
     ("group-slowness-oracle", _check_group_slowness),
     ("closed-form-vs-quadrature", _check_closed_form),
+    ("exact-sinc-depth-vs-quadrature", _check_depth_closed_form),
     ("filter-roundtrip", _check_filter_roundtrip),
 ]
 

@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 
 from spdcsim import default_config, resolve
 from spdcsim.analysis import auto_plan, run_scan
-from spdcsim.cli import format_number, format_numbers, main
+from spdcsim.cli import _plan_from, format_number, format_numbers, main
+from spdcsim.config import load_config
 from spdcsim.trace import DetectionAssignment
 
 FAST_CONFIG = "scan:\n  points: 16\n"
@@ -175,6 +176,18 @@ def test_fixed_window_scan_matches_golden_output(tmp_path, name):
         assert actual[1:] == expected[1:]
 
 
+def test_exact_sinc_golden_grid_matches_quadrature_oracle():
+    # the golden grid comes from the crystal-depth closed form; the frequency
+    # trapezoid, an independent method, must reproduce it
+    golden = Path(__file__).parent / "data" / "golden"
+    run = resolve(load_config(golden / "exact_sinc.yaml"))
+    plan = _plan_from(run)
+    oracle = run_scan(plan, run.system, method="quadrature").values
+    values = np.loadtxt(golden / "exact_sinc.csv", delimiter=",", comments="#")[:, 4]
+    assert values.shape == (plan.points**2,)
+    assert np.max(np.abs(values - oracle.ravel())) <= 1e-8 * values.max()
+
+
 # ---------------------------------------------------------------- sweep
 
 def test_sweep_table(tmp_path, fast_config):
@@ -239,6 +252,7 @@ def test_check_passes_on_defaults(capsys):
     lines = [l for l in out.splitlines() if l.startswith(("PASS", "FAIL"))]
     assert len(lines) >= 4
     assert all(l.startswith("PASS") for l in lines)
+    assert any(l.startswith("PASS exact-sinc-depth-vs-quadrature:") for l in lines)
 
 
 def test_check_names_failing_check_for_corrupt_material(tmp_path, capsys):

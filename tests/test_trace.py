@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import spdcsim.trace as trace_module
+from spdcsim import default_config, resolve
 from spdcsim.analysis import ScanPlan, _momentum_pair, auto_plan, run_scan
 from spdcsim.dispersion import C_LIGHT
 from spdcsim.kernel import (
@@ -275,12 +276,15 @@ def test_quadrature_warns_when_underresolved(system, monkeypatch):
         integrate_quadrature(qvec(qy=1e4), qvec(qy=0.8e4), system, EA)
 
 
-def test_exact_sinc_routes_through_quadrature(system):
+def test_exact_sinc_default_is_the_depth_closed_form(system):
     sinc_system = replace(system, mode="exact_sinc")
-    with pytest.raises(ValueError, match="closed-form"):
-        spatial_biphoton(qvec(), qvec(), sinc_system, EA, method="closed_form")
-    value = spatial_biphoton(qvec(), qvec(), sinc_system, EA)
-    assert np.isfinite(value)
+    q_A = qvec(qx=2e3, qy=np.linspace(-2e4, 2e4, 5)[:, np.newaxis])
+    q_B = qvec(qy=np.linspace(-2e4, 2e4, 5)[np.newaxis, :])
+    default = spatial_biphoton(q_A, q_B, sinc_system, EA)
+    closed = spatial_biphoton(q_A, q_B, sinc_system, EA, method="closed_form")
+    quad = spatial_biphoton(q_A, q_B, sinc_system, EA, method="quadrature")
+    assert np.array_equal(default, closed)
+    assert np.all(np.abs(closed - quad) <= 1e-8 * np.abs(quad))
 
 
 # ---------------------------------------------------------------- batched quadrature
@@ -384,6 +388,14 @@ def sinc_system(system):
     return replace(system, mode="exact_sinc")
 
 
+@pytest.fixture(scope="module")
+def pulsed_sinc_system():
+    """Default config in exact-sinc mode with a 0.5 nm Gaussian-spectrum pump."""
+    config = default_config()
+    pump = replace(config.pump, spectral_mode="gaussian", spectral_fwhm_nm=0.5)
+    return resolve(replace(config, mode="exact_sinc", pump=pump)).system
+
+
 def scan_momenta(system, axis, assignment, points, orthogonal=0.0):
     """Detector momenta of an auto-window scan, as ``run_scan`` builds them."""
     plan = auto_plan(axis, assignment, system, points, orthogonal=orthogonal)
@@ -402,7 +414,7 @@ def scan_momenta(system, axis, assignment, points, orthogonal=0.0):
 def test_batched_quadrature_matches_pointwise_reference(sinc_system, axis, assignment):
     q_A, q_B = scan_momenta(sinc_system, axis, assignment, 16)
     expected, _, _ = reference_quadrature(q_A, q_B, sinc_system, assignment)
-    actual = spatial_biphoton(q_A, q_B, sinc_system, assignment)
+    actual = spatial_biphoton(q_A, q_B, sinc_system, assignment, method="quadrature")
     assert actual.shape == (16, 16)
     assert np.array_equal(actual, expected)
 
@@ -411,7 +423,8 @@ def test_batched_quadrature_with_orthogonal_offset(sinc_system):
     q_A, q_B = scan_momenta(sinc_system, "x", OA, 10, orthogonal=1e-3)
     assert np.all(q_A.qy != 0.0)
     expected, _, _ = reference_quadrature(q_A, q_B, sinc_system, OA)
-    assert np.array_equal(spatial_biphoton(q_A, q_B, sinc_system, OA), expected)
+    actual = spatial_biphoton(q_A, q_B, sinc_system, OA, method="quadrature")
+    assert np.array_equal(actual, expected)
 
 
 @pytest.mark.parametrize("chunk_cells", [trace_module.QUADRATURE_CHUNK_CELLS, 1500])
@@ -423,7 +436,8 @@ def test_batched_quadrature_chunk_remainders(sinc_system, monkeypatch, chunk_cel
     rows = {n: max(1, chunk_cells // (2 * n - 1)) for n in counts}
     assert any(counts.count(n) % rows[n] for n in rows)  # some chunk is partial
     monkeypatch.setattr(trace_module, "QUADRATURE_CHUNK_CELLS", chunk_cells)
-    assert np.array_equal(spatial_biphoton(q_A, q_B, sinc_system, EA), expected)
+    actual = spatial_biphoton(q_A, q_B, sinc_system, EA, method="quadrature")
+    assert np.array_equal(actual, expected)
 
 
 def test_batched_quadrature_mixes_node_count_groups(sinc_system):
@@ -442,7 +456,7 @@ def test_batched_quadrature_pulsed_grid(gaussian_pump_system):
     q_A = TransverseWavevector(qx=3e3, qy=qy[:, np.newaxis])
     q_B = TransverseWavevector(qx=-1e3, qy=0.9 * qy[np.newaxis, :])
     expected, _, _ = reference_quadrature(q_A, q_B, pulsed, OA)
-    actual = spatial_biphoton(q_A, q_B, pulsed, OA)
+    actual = spatial_biphoton(q_A, q_B, pulsed, OA, method="quadrature")
     assert actual.shape == (4, 4)
     assert np.array_equal(actual, expected)
 
@@ -470,24 +484,72 @@ def test_quadrature_warns_once_per_call_with_the_count(sinc_system):
     assert 0 < missed < 36
     with warnings.catch_warnings(record=True) as record:
         warnings.simplefilter("always")
-        spatial_biphoton(q_A, q_B, wide, EA)
+        spatial_biphoton(q_A, q_B, wide, EA, method="quadrature")
     (warning,) = _quadrature_warnings(record)
     assert f"at {missed} of 36 points" in str(warning.message)
     assert f"(worst {change.max():.2e})" in str(warning.message)
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="window and nodes are sized from the Gaussian form, not the sinc^2 tails",
-)
-def test_wide_waist_exact_sinc_scan_converges(sinc_system):
+def _wide_waist_scan(sinc_system):
+    """A fixed +-6 mm, 12^2 exact-sinc y scan at a 500 um waist, and its warnings."""
     wide = sinc_system.with_isotropic_waist(500e-6)
     window = (-6e-3, 6e-3)
     plan = ScanPlan(axis="y", assignment=EA, range_a=window, range_b=window, points=12)
     with warnings.catch_warnings(record=True) as record:
         warnings.simplefilter("always")
         run_scan(plan, wide)
-    assert not _quadrature_warnings(record)
+    return _quadrature_warnings(record)
+
+
+def test_wide_waist_exact_sinc_scan_converges(sinc_system):
+    assert not _wide_waist_scan(sinc_system)
+
+
+def test_wide_waist_scan_warns_once_with_too_few_depth_nodes(sinc_system, monkeypatch):
+    monkeypatch.setattr(trace_module, "_depth_node_count", lambda *args: 24)
+    (warning,) = _wide_waist_scan(sinc_system)
+    message = str(warning.message)
+    assert "doubling the 24 crystal-depth nodes" in message
+    assert " of 144 points (worst " in message
+    missed = int(message.split(" of 144 points")[0].rsplit(" ", 1)[1])
+    assert 0 < missed < 144  # tail points only: the bulk converges at 24 nodes
+    assert "of the grid peak" in message
+
+
+# ---------------------------------------------------------------- crystal-depth closed form
+
+def test_depth_average_is_sinc():
+    # (1/2) integral of exp(i x s) over [-1, 1] is sinc x; exp(i x) is the caller's
+    x = np.linspace(-20.0, 20.0, 801)
+    assert np.all(np.abs(trace_module.depth_average(1j * x, 0.0) - np.sinc(x / np.pi)) <= 1e-13)
+
+
+def test_depth_average_returns_the_doubled_rule(monkeypatch):
+    # 12 nodes miss sinc(20) by far, 24 nodes meet it: the value is the 2n-node
+    # sum and the n-node sum only checks it
+    monkeypatch.setattr(trace_module, "_depth_node_count", lambda *args: 12)
+    with pytest.warns(QuadratureAccuracyWarning, match="at 1 of 1 points"):
+        value = trace_module.depth_average(20j, 0.0)
+    assert abs(value - np.sinc(20.0 / np.pi)) <= 1e-13
+
+
+@pytest.mark.parametrize("axis", ["y", "x"])
+@pytest.mark.parametrize("assignment", [EA, OA], ids=["ea", "oa"])
+def test_depth_closed_form_matches_fine_trapezoid(sinc_system, axis, assignment):
+    q_A, q_B = scan_momenta(sinc_system, axis, assignment, 16)
+    trapezoid = integrate_quadrature(q_A, q_B, sinc_system, assignment, nodes=402)
+    depth = spatial_biphoton(q_A, q_B, sinc_system, assignment)
+    assert np.all(np.abs(depth - trapezoid) <= 1e-8 * np.abs(trapezoid))
+
+
+@pytest.mark.parametrize("assignment", [EA, OA], ids=["ea", "oa"])
+def test_depth_closed_form_matches_pulsed_trapezoid(pulsed_sinc_system, assignment):
+    qy = np.linspace(-2e4, 2e4, 4)
+    q_A = TransverseWavevector(qx=3e3, qy=qy[:, np.newaxis])
+    q_B = TransverseWavevector(qx=-1e3, qy=0.9 * qy[np.newaxis, :])
+    trapezoid = integrate_quadrature(q_A, q_B, pulsed_sinc_system, assignment)
+    depth = spatial_biphoton(q_A, q_B, pulsed_sinc_system, assignment)
+    assert np.all(np.abs(depth - trapezoid) <= 1e-12 * np.abs(trapezoid))
 
 
 # ---------------------------------------------------------------- rates
