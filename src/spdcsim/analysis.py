@@ -96,7 +96,14 @@ class CorrelationSummary:
 
 @dataclass(frozen=True)
 class AssignmentComparison:
-    """Summaries of the same scan axis under both polarizer settings."""
+    """Summaries of the same scan axis under both polarizer settings.
+
+    Both come from one scan: the oa grid is the ea grid transposed (see
+    ``assignment_sensitivity``). Pearson is therefore the same under both
+    assignments by construction; only the principal axis mirrors, with
+    angle_oa = 1/2 atan2(2c, v_b - v_a) for the ea covariance entries
+    v_a, v_b and c.
+    """
 
     pearson_ea: float
     pearson_oa: float
@@ -287,21 +294,31 @@ def assignment_sensitivity(
     pinhole_diameter: float = 0.0,
     method: str = "closed_form",
 ) -> AssignmentComparison:
-    """Run both polarizer assignments on one axis and compare summaries."""
-    summaries = {}
-    for assignment in DetectionAssignment:
-        plan = auto_plan(axis, assignment, system, points)
-        dist = run_scan(
-            plan, system, pinhole_diameter=pinhole_diameter, method=method
-        )
-        summaries[assignment] = summarize(dist)
-    ea = summaries[DetectionAssignment.E_AT_A]
-    oa = summaries[DetectionAssignment.O_AT_A]
+    """Compare both polarizer assignments on one axis from a single ea scan.
+
+    The trace resolves detector momenta to photons, and filters and
+    Fourier-plane wavelengths belong to photons, so the oa scan is the ea
+    scan with its detectors swapped: the auto window's ranges swap and the
+    grid transposes. The oa summary is taken from that relabelled grid.
+    """
+    plan = auto_plan(axis, DetectionAssignment.E_AT_A, system, points)
+    ea = run_scan(plan, system, pinhole_diameter=pinhole_diameter, method=method)
+    oa = replace(
+        ea,
+        assignment=DetectionAssignment.O_AT_A,
+        positions_a=ea.positions_b,
+        positions_b=ea.positions_a,
+        momenta_a=ea.momenta_b,
+        momenta_b=ea.momenta_a,
+        values=ea.values.T,
+    )
+    ea_summary = summarize(ea)
+    oa_summary = summarize(oa)
     return AssignmentComparison(
-        pearson_ea=ea.pearson,
-        pearson_oa=oa.pearson,
-        angle_ea=ea.principal_angle,
-        angle_oa=oa.principal_angle,
+        pearson_ea=ea_summary.pearson,
+        pearson_oa=oa_summary.pearson,
+        angle_ea=ea_summary.principal_angle,
+        angle_oa=oa_summary.principal_angle,
     )
 
 

@@ -661,10 +661,17 @@ def coincidence_rate(
 def pinhole_smooth(values: np.ndarray, steps, diameter: float) -> np.ndarray:
     """Smooth a scan grid with a normalized top-hat of the pinhole diameter.
 
+    The model is a 1-D box per detector along the scan axis: grid axis 0
+    is detector A, axis 1 detector B. A real pinhole is a disk; its extent
+    orthogonal to the scan axis is ignored.
+
     ``steps`` holds the position increment (m) along each grid axis; each
     axis is convolved circularly with a uniform kernel spanning the taps
     within +-diameter/2, so the grid total is conserved and the maximum can
-    only decrease. ``diameter = 0`` returns an unsmoothed copy.
+    only decrease. The circular convolution wraps mass near one edge of the
+    window onto the opposite edge. That is a known defect, kept bit for bit
+    here (ROADMAP.md, open item 2). ``diameter = 0`` returns an unsmoothed
+    copy.
     """
     grid = np.asarray(values, dtype=float)
     if grid.ndim != 2:

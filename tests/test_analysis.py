@@ -17,10 +17,12 @@ from spdcsim.analysis import (
     waist_sweep,
     _gaussian_model_moments,
 )
-from spdcsim.trace import DetectionAssignment
+from spdcsim.config import default_config, resolve
+from spdcsim.trace import DetectionAssignment, SpectralFilter
 
 EA = DetectionAssignment.E_AT_A
 OA = DetectionAssignment.O_AT_A
+PINHOLE = 2e-3  # m, the default config's pinhole
 
 
 def synthetic_distribution(values, momenta_a, momenta_b):
@@ -169,6 +171,75 @@ def test_single_row_support_is_degenerate():
 
 
 # ---------------------------------------------------------------- sensitivity
+
+def reference_assignment_sensitivity(
+    axis, system, points=64, *, pinhole_diameter=0.0, method="closed_form"
+):
+    """Both assignments scanned and summarized separately: an auto window and a scan each."""
+    summaries = {}
+    for assignment in DetectionAssignment:
+        plan = auto_plan(axis, assignment, system, points)
+        dist = run_scan(plan, system, pinhole_diameter=pinhole_diameter, method=method)
+        summaries[assignment] = summarize(dist)
+    return (
+        summaries[EA].pearson,
+        summaries[OA].pearson,
+        summaries[EA].principal_angle,
+        summaries[OA].principal_angle,
+    )
+
+
+def relabel_system(kind, mode):
+    """Resolved default system with a CW or 0.5 nm pump, optionally made e/o-asymmetric.
+
+    ``asymmetric`` gives the photons different Fourier-plane wavelengths
+    (812 and 816 nm) and different filters (5 and 3 nm FWHM) on top of the
+    pulsed pump, so a detector-bound wavelength or filter would break the
+    relabel.
+    """
+    config = default_config()
+    if kind != "cw":
+        config = replace(
+            config, pump=replace(config.pump, spectral_mode="gaussian", spectral_fwhm_nm=0.5)
+        )
+    system = resolve(replace(config, mode=mode)).system
+    if kind == "asymmetric":
+        system = replace(
+            system,
+            fourier=replace(system.fourier, wavelength_e=812e-9, wavelength_o=816e-9),
+            filter_e=SpectralFilter.from_fwhm_nm(812.0, 5.0),
+            filter_o=SpectralFilter.from_fwhm_nm(816.0, 3.0),
+        )
+    return system
+
+
+@pytest.mark.parametrize("orthogonal", [0.0, 1e-3])
+@pytest.mark.parametrize("axis", ["y", "x"])
+@pytest.mark.parametrize("mode", ["gaussian_approx", "exact_sinc"])
+@pytest.mark.parametrize("kind", ["cw", "pulsed", "asymmetric"])
+def test_oa_scan_is_the_ea_scan_with_detectors_swapped(kind, mode, axis, orthogonal):
+    # assignment_sensitivity derives oa from the ea scan on this identity
+    system = relabel_system(kind, mode)
+    ea_plan = auto_plan(axis, EA, system, 24, orthogonal=orthogonal)
+    oa_plan = auto_plan(axis, OA, system, 24, orthogonal=orthogonal)
+    assert (oa_plan.range_a, oa_plan.range_b) == (ea_plan.range_b, ea_plan.range_a)
+    ea = run_scan(ea_plan, system, pinhole_diameter=PINHOLE)
+    oa = run_scan(oa_plan, system, pinhole_diameter=PINHOLE)
+    assert np.array_equal(oa.momenta_a, ea.momenta_b)
+    assert np.array_equal(oa.momenta_b, ea.momenta_a)
+    assert np.max(np.abs(oa.values - ea.values.T)) <= 1e-14 * ea.values.max()
+
+
+@pytest.mark.parametrize("pinhole", [0.0, PINHOLE])
+@pytest.mark.parametrize("axis", ["y", "x"])
+@pytest.mark.parametrize("mode, points", [("gaussian_approx", 64), ("exact_sinc", 32)])
+def test_assignment_sensitivity_matches_two_scan_reference(system, mode, points, axis, pinhole):
+    system = replace(system, mode=mode)
+    comp = assignment_sensitivity(axis, system, points, pinhole_diameter=pinhole)
+    expected = reference_assignment_sensitivity(axis, system, points, pinhole_diameter=pinhole)
+    got = (comp.pearson_ea, comp.pearson_oa, comp.angle_ea, comp.angle_oa)
+    assert got == pytest.approx(expected, rel=0.0, abs=1e-12)
+
 
 def test_y_axis_correlation_sign_is_assignment_insensitive(system):
     comp = assignment_sensitivity("y", system, points=48)
