@@ -1,6 +1,6 @@
-"""Timing of the scan pipeline: assignment comparison and closed-form scans with the pinhole.
+"""Timing of the scan pipeline: assignment comparison, scans, the pinhole filter, waist sweeps.
 
-Run from the repository root (10 to 15 s on a 2-vCPU Xeon VM):
+Run from the repository root (about 10 s on a 2-vCPU Xeon VM):
 
     python -m pytest benchmarks/test_pipeline_bench.py --benchmark-json BENCH_pipeline.json
 
@@ -13,6 +13,10 @@ Every row uses the default config, whose 2 mm pinhole is on. The rows are:
   values and both angles.
 - ``run_scan``: one auto-window y scan (ea) in the Gaussian mode's closed
   form at 64^2, 256^2 and 1024^2, including the pinhole pass.
+- ``pinhole_smooth``: the filter alone, on the unsmoothed grid of that y
+  scan at 512^2 and 1024^2.
+- ``waist_sweep``: 40 waists from 31 to 500 um on the y axis at 64^2.
+  ``find_sign_transition``: the y sign flip in that bracket to 1 um.
 
 This directory sits outside the tier-1 ``testpaths``.
 """
@@ -20,6 +24,7 @@ This directory sits outside the tier-1 ``testpaths``.
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from spdcsim import (
@@ -27,9 +32,12 @@ from spdcsim import (
     assignment_sensitivity,
     auto_plan,
     default_config,
+    find_sign_transition,
     resolve,
     run_scan,
+    waist_sweep,
 )
+from spdcsim.trace import pinhole_smooth
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
 from test_analysis import reference_assignment_sensitivity  # noqa: E402
@@ -37,6 +45,10 @@ from test_analysis import reference_assignment_sensitivity  # noqa: E402
 SENSITIVITY_POINTS = 512
 # grid points per axis -> timed rounds
 SCAN_ROUNDS = {64: 20, 256: 10, 1024: 5}
+PINHOLE_ROUNDS = {512: 10, 1024: 5}
+SWEEP_POINTS = 64
+SWEEP_WAISTS = np.linspace(31e-6, 500e-6, 40)  # m
+TRANSITION_TOL = 1e-6  # m
 
 
 @pytest.fixture(scope="module")
@@ -82,3 +94,42 @@ def test_run_scan_closed_form_with_pinhole(benchmark, run, points):
     )
     assert dist.values.shape == (points, points)
     assert dist.values.max() == 1.0
+
+
+@pytest.mark.parametrize("points", list(PINHOLE_ROUNDS))
+def test_pinhole_smooth(benchmark, run, points):
+    benchmark.group = "pinhole_smooth"
+    benchmark.extra_info["points"] = points**2
+    plan = auto_plan("y", DetectionAssignment.E_AT_A, run.system, points)
+    grid = run_scan(plan, run.system, normalize=False)
+    steps = (grid.positions_a[1] - grid.positions_a[0], grid.positions_b[1] - grid.positions_b[0])
+    out = benchmark.pedantic(
+        pinhole_smooth, args=(grid.values, steps, run.pinhole_diameter),
+        rounds=PINHOLE_ROUNDS[points], warmup_rounds=1,
+    )
+    assert out.sum() == pytest.approx(grid.values.sum(), rel=1e-12)
+    assert out.min() > 0.0
+
+
+def test_waist_sweep(benchmark, run):
+    benchmark.group = f"waist sweep and bisection y {SWEEP_POINTS}"
+    benchmark.extra_info["waists"] = len(SWEEP_WAISTS)
+    results = benchmark.pedantic(
+        waist_sweep, args=("y", SWEEP_WAISTS, run.system),
+        kwargs={"points": SWEEP_POINTS, "pinhole_diameter": run.pinhole_diameter},
+        rounds=10, warmup_rounds=1,
+    )
+    pearson = [p for _, p in results]
+    assert pearson[0] > 0.0 > pearson[-1]
+
+
+def test_find_sign_transition(benchmark, run):
+    benchmark.group = f"waist sweep and bisection y {SWEEP_POINTS}"
+    benchmark.extra_info["tol_m"] = TRANSITION_TOL
+    waist = benchmark.pedantic(
+        find_sign_transition,
+        args=("y", SWEEP_WAISTS[0], SWEEP_WAISTS[-1], TRANSITION_TOL, run.system),
+        kwargs={"points": SWEEP_POINTS, "pinhole_diameter": run.pinhole_diameter},
+        rounds=10, warmup_rounds=1,
+    )
+    assert SWEEP_WAISTS[0] < waist < SWEEP_WAISTS[-1]

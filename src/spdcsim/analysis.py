@@ -76,11 +76,14 @@ class JointDistribution:
         v = np.asarray(self.values)
         if v.shape != (len(self.positions_a), len(self.positions_b)):
             raise ValueError("values shape does not match the scan axes")
-        if not np.all(np.isfinite(v)):
+        # NaN and +-inf reach the min or the max; initial=0.0 leaves an empty
+        # grid to the no-positive check instead of a reduction error
+        low, high = v.min(initial=0.0), v.max(initial=0.0)
+        if not (np.isfinite(low) and np.isfinite(high)):
             raise ValueError("distribution contains non-finite entries")
-        if np.any(v < 0.0):
+        if low < 0.0:
             raise ValueError("distribution contains negative entries")
-        if not np.any(v > 0.0):
+        if not high > 0.0:
             raise ValueError("distribution has no positive entries")
 
 
@@ -151,9 +154,10 @@ def run_scan(
     momenta_a = system.fourier.position_to_momentum(positions_a, lam_a)
     momenta_b = system.fourier.position_to_momentum(positions_b, lam_b)
 
-    grid_a, grid_b = np.meshgrid(momenta_a, momenta_b, indexing="ij")
+    # column and row axes broadcast to the grid in every elementwise trace step
     q_A, q_B = _momentum_pair(
-        plan.axis, plan.assignment, plan.orthogonal, system, grid_a, grid_b
+        plan.axis, plan.assignment, plan.orthogonal, system,
+        momenta_a[:, np.newaxis], momenta_b[np.newaxis, :],
     )
     q_A.check_paraxial(lam_a)
     q_B.check_paraxial(lam_b)

@@ -658,6 +658,33 @@ def coincidence_rate(
     return np.abs(amplitude) ** 2
 
 
+# Padded-grid cells smoothed per chunk of lines across the window axis; chunks
+# near 512 kB keep the block sums in cache and the peak memory flat.
+PINHOLE_CHUNK_CELLS = 1 << 16
+
+
+def _window_means(padded: np.ndarray, out: np.ndarray) -> None:
+    """Write to ``out`` the means of ``width`` consecutive rows of ``padded``.
+
+    Row i of ``out`` averages ``padded[i : i + width]``, where ``width =
+    len(padded) - len(out) + 1`` is odd. The window is cut into power-of-two
+    blocks, one for each binary digit of ``width``, added smallest first;
+    the block sums of size 2s come from those of size s,
+    ``block[:-s] + block[s:]``.
+    """
+    n = len(out)
+    width = len(padded) - n + 1
+    np.copyto(out, padded[:n])  # width is odd: the size-1 block opens the window
+    block, size, start = padded, 1, 1
+    while 2 * size <= width:
+        block = block[:-size] + block[size:]
+        size *= 2
+        if width & size:
+            out += block[start : start + n]
+            start += size
+    out *= 1.0 / width
+
+
 def pinhole_smooth(values: np.ndarray, steps, diameter: float) -> np.ndarray:
     """Smooth a scan grid with a normalized top-hat of the pinhole diameter.
 
@@ -666,21 +693,32 @@ def pinhole_smooth(values: np.ndarray, steps, diameter: float) -> np.ndarray:
     orthogonal to the scan axis is ignored.
 
     ``steps`` holds the position increment (m) along each grid axis; each
-    axis is convolved circularly with a uniform kernel spanning the taps
-    within +-diameter/2, so the grid total is conserved and the maximum can
-    only decrease. The circular convolution wraps mass near one edge of the
-    window onto the opposite edge. That is a known defect, kept bit for bit
-    here (ROADMAP.md, open item 2). ``diameter = 0`` returns an unsmoothed
-    copy.
+    axis is convolved circularly with a uniform kernel spanning the ``taps``
+    nodes on either side within +-diameter/2, so the grid total is conserved
+    and the maximum can only decrease. The circular convolution wraps mass
+    near one edge of the window onto the opposite edge. That is a known
+    defect, kept here (ROADMAP.md, open item 2). ``diameter = 0`` returns an
+    unsmoothed copy.
+
+    Each axis is wrap-padded by ``taps`` nodes, and each width-(2 taps + 1)
+    window sum is put together from power-of-two block sums
+    (``_window_means``), so the work grows as log(taps), not as taps. The
+    lines across the window axis go in chunks of about
+    ``PINHOLE_CHUNK_CELLS`` padded cells, which keeps the partial sums in
+    cache. Only non-negative terms are ever added, so no cell can cancel
+    to a wrong or negative value. A running (cumulative) sum takes each
+    window as a difference of two large prefix sums: tail cells would then
+    carry an absolute error near 1e-16 of the peak and could go negative,
+    which ``JointDistribution`` rejects.
     """
     grid = np.asarray(values, dtype=float)
     if grid.ndim != 2:
         raise ValueError("expected a 2-D scan grid")
     if diameter < 0.0:
         raise ValueError("pinhole diameter must be non-negative")
-    out = grid.copy()
     if diameter == 0.0:
-        return out
+        return grid.copy()
+    out = grid
     for axis, step in enumerate(steps):
         span = abs(step) * (grid.shape[axis] - 1)
         if diameter > span:
@@ -691,13 +729,14 @@ def pinhole_smooth(values: np.ndarray, steps, diameter: float) -> np.ndarray:
         taps = int(math.floor(diameter / (2.0 * abs(step)) + 1e-12))
         if taps == 0:
             continue
-        weight = 1.0 / (2 * taps + 1)
         n = grid.shape[axis]
         padded = np.take(out, np.arange(-taps, n + taps) % n, axis=axis)
-        smoothed = np.zeros_like(out)
-        for offset in range(-taps, taps + 1):
-            # np.roll(out, offset, axis) is this window of the wrap-padded grid
-            start = taps - offset
-            smoothed += padded[(slice(None),) * axis + (slice(start, start + n),)]
-        out = smoothed * weight
-    return out
+        padded = np.moveaxis(padded, axis, 0)
+        smoothed = np.empty_like(out)
+        rows = np.moveaxis(smoothed, axis, 0)
+        lines = max(1, PINHOLE_CHUNK_CELLS // len(padded))
+        for first in range(0, rows.shape[1], lines):
+            chunk = slice(first, first + lines)
+            _window_means(padded[:, chunk], rows[:, chunk])
+        out = smoothed
+    return grid.copy() if out is grid else out

@@ -9,6 +9,7 @@ from spdcsim.analysis import (
     DegenerateDistributionError,
     JointDistribution,
     ScanPlan,
+    _momentum_pair,
     assignment_sensitivity,
     auto_plan,
     find_sign_transition,
@@ -18,7 +19,7 @@ from spdcsim.analysis import (
     _gaussian_model_moments,
 )
 from spdcsim.config import default_config, resolve
-from spdcsim.trace import DetectionAssignment, SpectralFilter
+from spdcsim.trace import DetectionAssignment, SpectralFilter, spatial_biphoton
 
 EA = DetectionAssignment.E_AT_A
 OA = DetectionAssignment.O_AT_A
@@ -230,6 +231,37 @@ def test_oa_scan_is_the_ea_scan_with_detectors_swapped(kind, mode, axis, orthogo
     assert np.max(np.abs(oa.values - ea.values.T)) <= 1e-14 * ea.values.max()
 
 
+def meshgrid_scan_values(plan, system, method="closed_form"):
+    """|amplitude|^2 of a scan traced on full N x N meshgrids of detector momenta."""
+    momenta = [
+        system.fourier.position_to_momentum(
+            np.linspace(*rng, plan.points), system.fourier.wavelength_at(detector, plan.assignment)
+        )
+        for detector, rng in (("A", plan.range_a), ("B", plan.range_b))
+    ]
+    grid_a, grid_b = np.meshgrid(*momenta, indexing="ij")
+    q_A, q_B = _momentum_pair(plan.axis, plan.assignment, plan.orthogonal, system, grid_a, grid_b)
+    return np.abs(spatial_biphoton(q_A, q_B, system, plan.assignment, method=method)) ** 2
+
+
+@pytest.mark.parametrize("orthogonal", [0.0, 1e-3])
+@pytest.mark.parametrize("axis", ["y", "x"])
+@pytest.mark.parametrize("mode", ["gaussian_approx", "exact_sinc"])
+@pytest.mark.parametrize("kind", ["cw", "pulsed"])
+def test_scan_on_broadcast_axes_matches_meshgrid_trace_bitwise(kind, mode, axis, orthogonal):
+    system = relabel_system(kind, mode)
+    plan = auto_plan(axis, EA, system, 24, orthogonal=orthogonal)
+    dist = run_scan(plan, system, normalize=False)
+    assert np.array_equal(dist.values, meshgrid_scan_values(plan, system))
+
+
+def test_quadrature_scan_on_broadcast_axes_matches_meshgrid_trace_bitwise(system):
+    system = replace(system, mode="exact_sinc")
+    plan = auto_plan("x", EA, system, 10, orthogonal=1e-3)
+    dist = run_scan(plan, system, normalize=False, method="quadrature")
+    assert np.array_equal(dist.values, meshgrid_scan_values(plan, system, method="quadrature"))
+
+
 @pytest.mark.parametrize("pinhole", [0.0, PINHOLE])
 @pytest.mark.parametrize("axis", ["y", "x"])
 @pytest.mark.parametrize("mode, points", [("gaussian_approx", 64), ("exact_sinc", 32)])
@@ -327,6 +359,34 @@ def test_scan_plan_validation(system):
         ScanPlan(axis="z", assignment=EA, range_a=(-1e-3, 1e-3), range_b=(-1e-3, 1e-3), points=8)
     with pytest.raises(ValueError, match="range_a"):
         ScanPlan(axis="y", assignment=EA, range_a=(1e-3, -1e-3), range_b=(-1e-3, 1e-3), points=8)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_distribution_rejects_non_finite_cells(bad):
+    u = np.linspace(-1.0, 1.0, 8)
+    values = np.ones((8, 8))
+    values[3, 5] = bad
+    values[0, 0] = -1.0  # a negative cell too: the non-finite check comes first
+    with pytest.raises(ValueError, match="non-finite"):
+        synthetic_distribution(values, u, u)
+
+
+def test_distribution_rejects_one_negative_cell():
+    u = np.linspace(-1.0, 1.0, 8)
+    values = np.ones((8, 8))
+    values[7, 2] = -1e-300
+    with pytest.raises(ValueError, match="negative"):
+        synthetic_distribution(values, u, u)
+
+
+def test_distribution_accepts_negative_zero_cells():
+    u = np.linspace(-1.0, 1.0, 8)
+    values = np.ones((8, 8))
+    values[::3, ::2] = -0.0
+    dist = synthetic_distribution(values, u, u)
+    assert np.signbit(dist.values).sum() == 12
+    with pytest.raises(ValueError, match="no positive"):
+        synthetic_distribution(np.full((8, 8), -0.0), u, u)
 
 
 def test_distribution_validation():

@@ -649,18 +649,62 @@ def rolled_pinhole_reference(values, steps, diameter):
     return out
 
 
-@pytest.mark.parametrize(
-    "shape, steps, diameter",
-    [
-        ((32, 32), (1e-4, 1e-4), 7.5e-4),  # both axes, square
-        ((24, 41), (1e-4, 3e-5), 1.1e-3),  # non-square, unequal steps
-        ((17, 9), (1e-4, 1e-3), 9e-4),  # taps == 0 along axis 1
-        ((9, 33), (1e-3, 1e-4), 9e-4),  # taps == 0 along axis 0
-        ((15, 15), (1e-4, 1e-4), 1.4e-3),  # widest aperture the span allows
-    ],
-)
-def test_pinhole_matches_rolled_reference_bitwise(shape, steps, diameter):
+SINGLE_AXIS_CASES = [
+    ((17, 9), (1e-4, 1e-3), 9e-4),  # taps == 0 along axis 1
+    ((9, 33), (1e-3, 1e-4), 9e-4),  # taps == 0 along axis 0
+]
+PINHOLE_CASES = [
+    ((32, 32), (1e-4, 1e-4), 7.5e-4),  # both axes, square
+    ((24, 41), (1e-4, 3e-5), 1.1e-3),  # non-square, unequal steps
+    *SINGLE_AXIS_CASES,
+    ((15, 15), (1e-4, 1e-4), 1.4e-3),  # widest aperture the span allows
+]
+
+
+@pytest.mark.parametrize("shape, steps, diameter", PINHOLE_CASES)
+def test_pinhole_matches_rolled_reference(shape, steps, diameter):
     grid = np.random.default_rng(27).uniform(0.0, 1.0, shape)
     grid[0, 0] = -0.0
     expected = rolled_pinhole_reference(grid, steps, diameter)
+    actual = pinhole_smooth(grid, steps, diameter)
+    np.testing.assert_allclose(actual, expected, rtol=1e-14, atol=0.0)
+
+
+@pytest.mark.parametrize(
+    "shape, steps, diameter",
+    [
+        *SINGLE_AXIS_CASES,
+        ((80, 8), (1e-5, 1e-3), 7.1e-4),  # 71-node window along axis 0: blocks 1 + 2 + 4 + 64
+    ],
+)
+def test_pinhole_single_axis_integer_grid_is_exact(shape, steps, diameter):
+    # integer window sums are exact in any order of addition, and the one
+    # weight multiplication rounds the same, so the result is bitwise fixed
+    grid = np.random.default_rng(28).integers(0, 1000, shape).astype(float)
+    grid[0, 0] = -0.0
+    expected = rolled_pinhole_reference(grid, steps, diameter)
     assert np.array_equal(pinhole_smooth(grid, steps, diameter), expected)
+
+
+@pytest.mark.parametrize("chunk_cells", [1, 200, 1000])
+def test_pinhole_chunks_leave_the_result_unchanged(monkeypatch, chunk_cells):
+    # lines are smoothed independently, so any split into chunks gives the same bits
+    grid = np.random.default_rng(29).uniform(0.0, 1.0, (24, 41))
+    steps, diameter = (1e-4, 3e-5), 1.1e-3
+    expected = pinhole_smooth(grid, steps, diameter)  # one chunk per axis
+    monkeypatch.setattr(trace_module, "PINHOLE_CHUNK_CELLS", chunk_cells)
+    assert np.array_equal(pinhole_smooth(grid, steps, diameter), expected)
+
+
+def test_pinhole_keeps_relative_accuracy_across_300_decades():
+    # a running-sum filter would leave the 1e-300 tails with errors near
+    # 1e-16 of the peak, far beyond their size, and some of them negative
+    profile_a = 10.0 ** (-150.0 * np.linspace(-1.0, 1.0, 65) ** 2)
+    profile_b = 10.0 ** (-150.0 * np.linspace(-1.0, 1.0, 49) ** 2)
+    grid = np.outer(profile_a, profile_b)
+    assert grid.min() < 1e-299 and grid.max() == 1.0
+    steps, diameter = (1e-4, 1e-4), 1.5e-3
+    out = pinhole_smooth(grid, steps, diameter)
+    assert np.all(out > 0.0)
+    expected = rolled_pinhole_reference(grid, steps, diameter)
+    np.testing.assert_allclose(out, expected, rtol=1e-14, atol=0.0)
