@@ -7,9 +7,11 @@ Run from the repository root (about 10 s on a 2-vCPU Xeon VM):
 Every row uses the default config, whose 2 mm pinhole is on. The rows are:
 
 - ``assignment_sensitivity``: y and then x at 512^2, as one timed call.
-  ``one_scan`` is the library function, which derives the oa summary from
-  the ea scan. ``reference`` is the two-scan loop kept in
-  ``tests/test_analysis.py``. Both must agree to 1e-12 on both Pearson
+  ``one_scan`` is the library function: one ea scan and one summary per
+  axis, with the oa statistics computed from the ea covariance.
+  ``reference`` is the two-scan loop kept in ``tests/test_analysis.py``,
+  two scans and two summaries per axis. The ``summaries_per_axis`` extra
+  field records that count. Both must agree to 1e-12 on both Pearson
   values and both angles.
 - ``run_scan``: one auto-window y scan (ea) in the Gaussian mode's closed
   form at 64^2, 256^2 and 1024^2, including the pinhole pass.
@@ -67,6 +69,7 @@ def _both_axes(sensitivity, system, pinhole):
 def test_assignment_sensitivity(benchmark, run, path):
     benchmark.group = f"assignment_sensitivity y+x {SENSITIVITY_POINTS}"
     benchmark.extra_info["points"] = SENSITIVITY_POINTS**2
+    benchmark.extra_info["summaries_per_axis"] = {"one_scan": 1, "reference": 2}[path]
     sensitivity = {
         "one_scan": assignment_sensitivity,
         "reference": reference_assignment_sensitivity,

@@ -70,7 +70,6 @@ class JointDistribution:
     momenta_a: np.ndarray  # rad/m
     momenta_b: np.ndarray  # rad/m
     values: np.ndarray
-    normalized: bool = False
 
     def __post_init__(self):
         v = np.asarray(self.values)
@@ -101,11 +100,11 @@ class CorrelationSummary:
 class AssignmentComparison:
     """Summaries of the same scan axis under both polarizer settings.
 
-    Both come from one scan: the oa grid is the ea grid transposed (see
-    ``assignment_sensitivity``). Pearson is therefore the same under both
-    assignments by construction; only the principal axis mirrors, with
-    angle_oa = 1/2 atan2(2c, v_b - v_a) for the ea covariance entries
-    v_a, v_b and c.
+    Both come from one summarized scan: the oa grid is the ea grid
+    transposed (see ``assignment_sensitivity``). Pearson is therefore the
+    same under both assignments by construction; only the principal axis
+    mirrors, with angle_oa = 1/2 atan2(2c, v_b - v_a) for the ea covariance
+    entries v_a, v_b and c.
     """
 
     pearson_ea: float
@@ -180,7 +179,6 @@ def run_scan(
         momenta_a=np.asarray(momenta_a),
         momenta_b=np.asarray(momenta_b),
         values=values,
-        normalized=normalize,
     )
 
 
@@ -296,34 +294,40 @@ def assignment_sensitivity(
     points: int = 64,
     *,
     pinhole_diameter: float = 0.0,
-    method: str = "closed_form",
 ) -> AssignmentComparison:
-    """Compare both polarizer assignments on one axis from a single ea scan.
+    """Compare both polarizer assignments on one axis from a single ea summary.
 
     The trace resolves detector momenta to photons, and filters and
     Fourier-plane wavelengths belong to photons, so the oa scan is the ea
     scan with its detectors swapped: the auto window's ranges swap and the
-    grid transposes. The oa summary is taken from that relabelled grid.
+    grid transposes. Transposing keeps the covariance c and swaps the
+    variances v_a and v_b, so the oa Pearson is the ea one and
+    angle_oa = 1/2 atan2(2c, v_b - v_a), both from the ea summary alone.
     """
     plan = auto_plan(axis, DetectionAssignment.E_AT_A, system, points)
-    ea = run_scan(plan, system, pinhole_diameter=pinhole_diameter, method=method)
-    oa = replace(
-        ea,
-        assignment=DetectionAssignment.O_AT_A,
-        positions_a=ea.positions_b,
-        positions_b=ea.positions_a,
-        momenta_a=ea.momenta_b,
-        momenta_b=ea.momenta_a,
-        values=ea.values.T,
-    )
-    ea_summary = summarize(ea)
-    oa_summary = summarize(oa)
+    ea = summarize(run_scan(plan, system, pinhole_diameter=pinhole_diameter))
+    (var_a, cov_ab), (_, var_b) = ea.covariance
     return AssignmentComparison(
-        pearson_ea=ea_summary.pearson,
-        pearson_oa=oa_summary.pearson,
-        angle_ea=ea_summary.principal_angle,
-        angle_oa=oa_summary.principal_angle,
+        pearson_ea=ea.pearson,
+        pearson_oa=ea.pearson,
+        angle_ea=ea.principal_angle,
+        angle_oa=0.5 * math.atan2(2.0 * cov_ab, var_b - var_a),
     )
+
+
+def _pearson_by_waist(axis, system, plan, points, pinhole_diameter):
+    """Pearson of one fixed-plan scan as a function of the isotropic pump waist.
+
+    Without a ``plan`` the scan takes the ea auto window of ``system``.
+    """
+    if plan is None:
+        plan = auto_plan(axis, DetectionAssignment.E_AT_A, system, points)
+
+    def pearson_at(waist: float) -> float:
+        swept = system.with_isotropic_waist(waist)
+        return summarize(run_scan(plan, swept, pinhole_diameter=pinhole_diameter)).pearson
+
+    return pearson_at
 
 
 def waist_sweep(
@@ -334,20 +338,13 @@ def waist_sweep(
     plan: ScanPlan | None = None,
     points: int = 64,
     pinhole_diameter: float = 0.0,
-    method: str = "closed_form",
 ) -> list[tuple[float, float]]:
     """Pearson coefficient per isotropic pump waist, on one fixed scan plan."""
     waists = [float(w) for w in waists]
     if any(w <= 0.0 for w in waists):
         raise ValueError("all waists must be positive")
-    if plan is None:
-        plan = auto_plan(axis, DetectionAssignment.E_AT_A, system, points)
-    results = []
-    for waist in waists:
-        swept = system.with_isotropic_waist(waist)
-        dist = run_scan(plan, swept, pinhole_diameter=pinhole_diameter, method=method)
-        results.append((waist, summarize(dist).pearson))
-    return results
+    pearson_at = _pearson_by_waist(axis, system, plan, points, pinhole_diameter)
+    return [(waist, pearson_at(waist)) for waist in waists]
 
 
 def find_sign_transition(
@@ -360,7 +357,6 @@ def find_sign_transition(
     plan: ScanPlan | None = None,
     points: int = 64,
     pinhole_diameter: float = 0.0,
-    method: str = "closed_form",
 ) -> float:
     """Bisect the isotropic pump waist where the scan's Pearson sign flips.
 
@@ -371,14 +367,7 @@ def find_sign_transition(
         raise ValueError("need 0 < waist_lo < waist_hi")
     if tol <= 0.0:
         raise ValueError("tol must be positive")
-    if plan is None:
-        plan = auto_plan(axis, DetectionAssignment.E_AT_A, system, points)
-
-    def pearson_at(waist: float) -> float:
-        swept = system.with_isotropic_waist(waist)
-        dist = run_scan(plan, swept, pinhole_diameter=pinhole_diameter, method=method)
-        return summarize(dist).pearson
-
+    pearson_at = _pearson_by_waist(axis, system, plan, points, pinhole_diameter)
     p_lo = pearson_at(waist_lo)
     p_hi = pearson_at(waist_hi)
     if p_lo == 0.0:

@@ -106,8 +106,13 @@ _SECTIONS = {
 }
 
 
+def _is_finite_number(value) -> bool:
+    # YAML true/false load as bool, which Python counts as int
+    return isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
+
+
 def _require_positive(value, name: str):
-    if not (isinstance(value, (int, float)) and math.isfinite(value) and value > 0):
+    if not (_is_finite_number(value) and value > 0):
         raise ConfigError(f"{name} must be a positive number, got {value!r}")
     return float(value)
 
@@ -125,8 +130,14 @@ def _build_section(name: str, cls, raw: dict):
         merged["range_mm"] = None
     if merged.get("range_mm") is not None and name == "scan":
         rng = merged["range_mm"]
-        if not (isinstance(rng, (list, tuple)) and len(rng) == 2):
-            raise ConfigError("scan.range_mm must be 'auto' or a [min, max] pair")
+        if not (
+            isinstance(rng, (list, tuple))
+            and len(rng) == 2
+            and all(_is_finite_number(v) for v in rng)
+        ):
+            raise ConfigError(
+                f"scan.range_mm must be 'auto' or a [min, max] pair of finite numbers, got {rng!r}"
+            )
         merged["range_mm"] = (float(rng[0]), float(rng[1]))
     return cls(**merged)
 
@@ -151,7 +162,7 @@ def validate(config: RunConfig) -> RunConfig:
 
     c = config.crystal
     _require_positive(c.length_mm, "crystal.length_mm")
-    if not (0.0 < c.cut_angle_deg < 90.0):
+    if not (_is_finite_number(c.cut_angle_deg) and 0.0 < c.cut_angle_deg < 90.0):
         raise ConfigError(
             f"crystal.cut_angle_deg must lie in (0, 90), got {c.cut_angle_deg!r}"
         )
@@ -167,7 +178,7 @@ def validate(config: RunConfig) -> RunConfig:
         if g.phi_e_deg is None or g.phi_o_deg is None:
             raise ConfigError("geometry: phi_e_deg and phi_o_deg must be given together")
         for label, value in (("phi_e_deg", g.phi_e_deg), ("phi_o_deg", g.phi_o_deg)):
-            if not (0.0 <= value < 90.0):
+            if not (_is_finite_number(value) and 0.0 <= value < 90.0):
                 raise ConfigError(f"geometry.{label} must lie in [0, 90), got {value!r}")
     elif g.half_open_angle_ext_deg is None:
         raise ConfigError(
@@ -182,8 +193,8 @@ def validate(config: RunConfig) -> RunConfig:
 
     o = config.optics
     _require_positive(o.focal_mm, "optics.focal_mm")
-    if o.pinhole_mm < 0:
-        raise ConfigError(f"optics.pinhole_mm must be >= 0, got {o.pinhole_mm!r}")
+    if not (_is_finite_number(o.pinhole_mm) and o.pinhole_mm >= 0):
+        raise ConfigError(f"optics.pinhole_mm must be a finite number >= 0, got {o.pinhole_mm!r}")
 
     s = config.scan
     if s.axis not in ("x", "y"):
@@ -191,8 +202,12 @@ def validate(config: RunConfig) -> RunConfig:
     DetectionAssignment.parse(s.assignment)
     if not (isinstance(s.points, int) and s.points >= 8):
         raise ConfigError(f"scan.points must be an integer >= 8, got {s.points!r}")
-    if s.range_mm is not None and not s.range_mm[0] < s.range_mm[1]:
-        raise ConfigError(f"scan.range_mm must satisfy min < max, got {s.range_mm}")
+    if not _is_finite_number(s.orthogonal_mm):
+        raise ConfigError(f"scan.orthogonal_mm must be a finite number, got {s.orthogonal_mm!r}")
+    if s.range_mm is not None and not (
+        all(map(_is_finite_number, s.range_mm)) and s.range_mm[0] < s.range_mm[1]
+    ):
+        raise ConfigError(f"scan.range_mm must be finite with min < max, got {s.range_mm}")
 
     if config.mode not in (MODE_GAUSSIAN_APPROX, MODE_EXACT_SINC):
         raise ConfigError(

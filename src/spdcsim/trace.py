@@ -44,7 +44,8 @@ from .dispersion import C_LIGHT
 _FWHM_FACTOR = 2.0 * math.sqrt(2.0 * math.log(2.0))
 
 DEFAULT_QUADRATURE_NODES = 201
-DEFAULT_WINDOW_SIGMAS = 6.0
+# half-width of each trapezoid window, in widths of the Gaussian-approximated form
+QUADRATURE_WINDOW_SIGMAS = 6.0
 QUADRATURE_RTOL = 1e-8
 # Floor on the node count n of the coarse crystal-depth Gauss-Legendre rule;
 # the returned sum uses 2n nodes.
@@ -425,7 +426,7 @@ def _node_count(span, feature_scale, phase_rate, floor: int):
 QUADRATURE_CHUNK_CELLS = 4096
 
 
-def _trace_monochromatic(q_e, q_o, form, system, mode, nodes, window_sigmas):
+def _trace_monochromatic(q_e, q_o, form, system, nodes):
     """Fine, coarse and |integrand| integrals along omega_o = -omega_e, per point.
 
     Each point's window and node count n come from its quadratic form. Points
@@ -443,8 +444,10 @@ def _trace_monochromatic(q_e, q_o, form, system, mode, nodes, window_sigmas):
     pair_sigma = 1.0 / math.sqrt(
         2.0 * (1.0 / (4.0 * filter_e.sigma**2) + 1.0 / (4.0 * filter_o.sigma**2))
     )
-    lo = np.minimum(-window_sigmas * pair_sigma, center - window_sigmas * product_sigma)
-    hi = np.maximum(window_sigmas * pair_sigma, center + window_sigmas * product_sigma)
+    half_pair = QUADRATURE_WINDOW_SIGMAS * pair_sigma
+    half_product = QUADRATURE_WINDOW_SIGMAS * product_sigma
+    lo = np.minimum(-half_pair, center - half_product)
+    hi = np.maximum(half_pair, center + half_product)
     counts = np.broadcast_to(
         _node_count(hi - lo, product_sigma, np.abs(b_line.imag), nodes), lo.shape
     )
@@ -478,7 +481,7 @@ def _trace_monochromatic(q_e, q_o, form, system, mode, nodes, window_sigmas):
                     -omega,
                     geom,
                     pump,
-                    mode,
+                    system.mode,
                 )
             )
             fine[rows] = np.trapezoid(integrand, omega, axis=-1)
@@ -487,7 +490,7 @@ def _trace_monochromatic(q_e, q_o, form, system, mode, nodes, window_sigmas):
     return fine, coarse, magnitude
 
 
-def _trace_gaussian_pump(q_e, q_o, matrix, linear, system, mode, nodes, window_sigmas):
+def _trace_gaussian_pump(q_e, q_o, matrix, linear, system, nodes):
     """Fine, coarse and |integrand| integrals over the 2-D trace at one point.
 
     A pulsed pump leaves both detunings free, so one point is already a
@@ -501,8 +504,10 @@ def _trace_gaussian_pump(q_e, q_o, matrix, linear, system, mode, nodes, window_s
     filter_sigmas = np.array(
         [math.sqrt(2.0) * filter_e.sigma, math.sqrt(2.0) * filter_o.sigma]
     )
-    lo = np.minimum(-window_sigmas * filter_sigmas, center - window_sigmas * sigma_product)
-    hi = np.maximum(window_sigmas * filter_sigmas, center + window_sigmas * sigma_product)
+    half_filter = QUADRATURE_WINDOW_SIGMAS * filter_sigmas
+    half_product = QUADRATURE_WINDOW_SIGMAS * sigma_product
+    lo = np.minimum(-half_filter, center - half_product)
+    hi = np.maximum(half_filter, center + half_product)
     phase_rates = np.abs(np.imag(linear))
     counts = [
         int(_node_count(hi[i] - lo[i], sigma_product[i], phase_rates[i], nodes))
@@ -513,7 +518,7 @@ def _trace_gaussian_pump(q_e, q_o, matrix, linear, system, mode, nodes, window_s
     integrand = (
         filter_e.amplitude(o_e)
         * filter_o.amplitude(o_o)
-        * mode_function(q_e, o_e, q_o, o_o, geom, pump, mode)
+        * mode_function(q_e, o_e, q_o, o_o, geom, pump, system.mode)
     )
 
     def integrate(values, axis_e, axis_o):
@@ -532,25 +537,24 @@ def integrate_quadrature(
     assignment: DetectionAssignment,
     *,
     nodes: int = DEFAULT_QUADRATURE_NODES,
-    window_sigmas: float = DEFAULT_WINDOW_SIGMAS,
     check_convergence: bool = True,
-    mode: str | None = None,
 ):
     """Direct trapezoid evaluation of the frequency trace at momentum pairs.
 
     This is ``spatial_biphoton(..., method="quadrature")``, the independent
-    oracle for both closed forms. Valid for either mode-function flavor and
-    broadcast over momentum arrays: a scalar pair returns a complex scalar,
-    arrays return an array of their broadcast shape. Each point's
-    integration window is sized from its Gaussian-approximated form
-    (covering both the full filter support and the shifted product
-    Gaussian) and its node count n is raised above ``nodes`` whenever the
-    window demands finer resolution. The integral is taken on 2n-1 nodes
-    per axis; the even nodes give the rule with the step doubled. When
-    ``check_convergence`` is set, one QuadratureAccuracyWarning per call
-    reports how many points changed by more than QUADRATURE_RTOL relative
-    between the two, the worst ratio and the largest change relative to the
-    grid peak; degraded accuracy is reported, never raised. The window
+    oracle for both closed forms. It evaluates the mode function of
+    ``system.mode`` and broadcasts over momentum arrays: a scalar pair
+    returns a complex scalar, arrays return an array of their broadcast
+    shape. Each point's integration window reaches QUADRATURE_WINDOW_SIGMAS
+    widths of its Gaussian-approximated form (covering both the full filter
+    support and the shifted product Gaussian) and its node count n is
+    raised above ``nodes`` whenever the window demands finer resolution.
+    The integral is taken on 2n-1 nodes per axis; the even nodes give the
+    rule with the step doubled. When ``check_convergence`` is set, one
+    QuadratureAccuracyWarning per call reports how many points changed by
+    more than QUADRATURE_RTOL relative between the two, the worst ratio and
+    the largest change relative to the grid peak; degraded accuracy is
+    reported, never raised. The window
     follows the Gaussian form, not the sinc^2 tails, so at pump waists of
     hundreds of um the exact-sinc trapezoid under-resolves tail points and
     warns; the depth closed form does not need a window.
@@ -560,9 +564,6 @@ def integrate_quadrature(
     bit-identical to integrating each point alone. A pulsed pump integrates
     one point at a time.
     """
-    mode = system.mode if mode is None else mode
-    if mode not in MODES:
-        raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
     q_e, q_o = resolve_pair(q_A, q_B, assignment)
     form = build_quadratic_form(
         q_A, q_B, assignment, system.geometry, system.pump,
@@ -571,9 +572,7 @@ def integrate_quadrature(
     shape = np.shape(form.constant)
 
     if system.pump.spectral_mode == SPECTRAL_MONOCHROMATIC:
-        fine, coarse, magnitude = _trace_monochromatic(
-            q_e, q_o, form, system, mode, nodes, window_sigmas
-        )
+        fine, coarse, magnitude = _trace_monochromatic(q_e, q_o, form, system, nodes)
     else:
         fine = np.empty(shape, dtype=complex)
         coarse = np.empty(shape, dtype=complex)
@@ -587,9 +586,7 @@ def integrate_quadrature(
                 form.matrix,
                 form.linear[index],
                 system,
-                mode,
                 nodes,
-                window_sigmas,
             )
 
     if check_convergence:
@@ -634,13 +631,13 @@ def coincidence_rate(
     x_B,
     system: OpticalSystem,
     assignment: DetectionAssignment,
-    method: str = "closed_form",
 ):
     """|spatial biphoton|^2 at detector positions x_A, x_B (2-vectors, m).
 
     Positions map to momenta through the Fourier-plane relation of each arm,
     using the central wavelength of the photon that arm detects under the
-    given assignment. Always non-negative.
+    given assignment. The amplitude is the closed form of
+    ``spatial_biphoton``. Always non-negative.
     """
     lam_a = system.fourier.wavelength_at("A", assignment)
     lam_b = system.fourier.wavelength_at("B", assignment)
@@ -654,7 +651,7 @@ def coincidence_rate(
     )
     q_A.check_paraxial(lam_a)
     q_B.check_paraxial(lam_b)
-    amplitude = spatial_biphoton(q_A, q_B, system, assignment, method=method)
+    amplitude = spatial_biphoton(q_A, q_B, system, assignment)
     return np.abs(amplitude) ** 2
 
 

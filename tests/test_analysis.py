@@ -35,7 +35,6 @@ def synthetic_distribution(values, momenta_a, momenta_b):
         momenta_a=momenta_a,
         momenta_b=momenta_b,
         values=values,
-        normalized=False,
     )
 
 
@@ -229,6 +228,35 @@ def test_oa_scan_is_the_ea_scan_with_detectors_swapped(kind, mode, axis, orthogo
     assert np.array_equal(oa.momenta_a, ea.momenta_b)
     assert np.array_equal(oa.momenta_b, ea.momenta_a)
     assert np.max(np.abs(oa.values - ea.values.T)) <= 1e-14 * ea.values.max()
+
+
+def relabelled_summary(ea):
+    """Summary of the ea grid with its detectors swapped, that is of the oa grid."""
+    oa = replace(
+        ea,
+        assignment=OA,
+        positions_a=ea.positions_b,
+        positions_b=ea.positions_a,
+        momenta_a=ea.momenta_b,
+        momenta_b=ea.momenta_a,
+        values=ea.values.T,
+    )
+    return summarize(oa)
+
+
+@pytest.mark.parametrize("pinhole", [0.0, PINHOLE])
+@pytest.mark.parametrize("axis", ["y", "x"])
+@pytest.mark.parametrize("mode", ["gaussian_approx", "exact_sinc"])
+@pytest.mark.parametrize("kind", ["cw", "pulsed", "asymmetric"])
+def test_oa_statistics_from_ea_covariance_match_relabelled_summary(kind, mode, axis, pinhole):
+    system = relabel_system(kind, mode)
+    comp = assignment_sensitivity(axis, system, 32, pinhole_diameter=pinhole)
+    ea = run_scan(auto_plan(axis, EA, system, 32), system, pinhole_diameter=pinhole)
+    oracle = relabelled_summary(ea)
+    assert comp.angle_oa == oracle.principal_angle
+    assert comp.pearson_oa == comp.pearson_ea
+    # summing the transposed grid reorders the additions: the oracle may sit an ulp off
+    assert comp.pearson_oa == pytest.approx(oracle.pearson, rel=1e-15, abs=0.0)
 
 
 def meshgrid_scan_values(plan, system, method="closed_form"):

@@ -4,10 +4,13 @@ import pytest
 
 from spdcsim.config import (
     ConfigError,
+    RunConfig,
+    ScanConfig,
     config_digest,
     default_config,
     load_config,
     resolve,
+    validate,
 )
 
 BBO_O = (2.7359, 0.01878, 0.01822, 0.01354)
@@ -107,6 +110,34 @@ def test_scan_range_forms(tmp_path):
         load_config(write(tmp_path, "scan:\n  range_mm: [5, -5]\n"))
     with pytest.raises(ConfigError, match="range_mm"):
         load_config(write(tmp_path, "scan:\n  range_mm: wide\n"))
+
+
+@pytest.mark.parametrize(
+    "field, text",
+    [
+        ("crystal.length_mm", "crystal: {length_mm: true}"),
+        ("crystal.cut_angle_deg", "crystal: {cut_angle_deg: true}"),
+        ("geometry.phi_e_deg", "geometry: {phi_e_deg: true, phi_o_deg: 3.0}"),
+        ("optics.pinhole_mm", "optics: {pinhole_mm: .nan}"),
+        ("optics.pinhole_mm", "optics: {pinhole_mm: true}"),
+        ("optics.pinhole_mm", "optics: {pinhole_mm: .inf}"),
+        ("scan.orthogonal_mm", "scan: {orthogonal_mm: abc}"),
+        ("scan.orthogonal_mm", "scan: {orthogonal_mm: .nan}"),
+        ("scan.range_mm", "scan: {range_mm: [a, 6]}"),
+        ("scan.range_mm", "scan: {range_mm: [-.inf, 6]}"),
+    ],
+)
+def test_non_numeric_and_non_finite_values_name_their_field(tmp_path, field, text):
+    # YAML booleans are ints to Python and NaN fails every comparison, so a
+    # bare sign or range check lets either through
+    with pytest.raises(ConfigError, match=field.replace(".", r"\.")):
+        load_config(write(tmp_path, text))
+
+
+def test_validate_rejects_non_finite_range_built_in_python():
+    config = RunConfig(scan=ScanConfig(range_mm=(-math.inf, 6.0)))
+    with pytest.raises(ConfigError, match=r"scan\.range_mm"):
+        validate(config)
 
 
 def test_scan_points_floor(tmp_path):
