@@ -19,6 +19,12 @@ Every row uses the default config, whose 2 mm pinhole is on. The rows are:
   scan at 512^2 and 1024^2.
 - ``waist_sweep``: 40 waists from 31 to 500 um on the y axis at 64^2.
   ``find_sign_transition``: the y sign flip in that bracket to 1 um.
+- ``scan_intensity``: the rates of one auto-window y scan (ea) at 512^2
+  in the Gaussian mode, with a CW pump and with a 0.5 nm pulsed pump,
+  computed two ways: ``real_log_intensity`` is ``biphoton_intensity``, the
+  exponential of the real quadratic log-intensity that ``run_scan`` uses;
+  ``complex_amplitude`` is ``np.abs(spatial_biphoton(...)) ** 2``. The two
+  must agree to 1e-12 relative.
 
 This directory sits outside the tier-1 ``testpaths``.
 """
@@ -39,15 +45,17 @@ from spdcsim import (
     run_scan,
     waist_sweep,
 )
-from spdcsim.trace import pinhole_smooth
+from spdcsim.trace import biphoton_intensity, pinhole_smooth
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
-from test_analysis import reference_assignment_sensitivity  # noqa: E402
+from test_analysis import reference_assignment_sensitivity, relabel_system  # noqa: E402
+from test_trace import amplitude_squared, window_momenta  # noqa: E402
 
 SENSITIVITY_POINTS = 512
 # grid points per axis -> timed rounds
 SCAN_ROUNDS = {64: 20, 256: 10, 1024: 5}
 PINHOLE_ROUNDS = {512: 10, 1024: 5}
+INTENSITY_POINTS = 512
 SWEEP_POINTS = 64
 SWEEP_WAISTS = np.linspace(31e-6, 500e-6, 40)  # m
 TRANSITION_TOL = 1e-6  # m
@@ -136,3 +144,19 @@ def test_find_sign_transition(benchmark, run):
         rounds=10, warmup_rounds=1,
     )
     assert SWEEP_WAISTS[0] < waist < SWEEP_WAISTS[-1]
+
+
+@pytest.mark.parametrize("path", ["real_log_intensity", "complex_amplitude"])
+@pytest.mark.parametrize("pump", ["cw", "pulsed"])
+def test_scan_intensity(benchmark, pump, path):
+    benchmark.group = f"Gaussian scan intensity {pump} y {INTENSITY_POINTS}"
+    benchmark.extra_info["points"] = INTENSITY_POINTS**2
+    system = relabel_system(pump, "gaussian_approx")
+    ea = DetectionAssignment.E_AT_A
+    plan = auto_plan("y", ea, system, INTENSITY_POINTS)
+    q_A, q_B = window_momenta(system, "y", ea, plan.range_a, plan.range_b, plan.points)
+    rate = {"real_log_intensity": biphoton_intensity, "complex_amplitude": amplitude_squared}[path]
+    got = benchmark.pedantic(rate, args=(q_A, q_B, system, ea), rounds=20, warmup_rounds=1)
+    other = amplitude_squared if rate is biphoton_intensity else biphoton_intensity
+    expected = other(q_A, q_B, system, ea)
+    assert np.max(np.abs(got - expected) / expected) <= 1e-12

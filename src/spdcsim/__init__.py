@@ -43,6 +43,7 @@ from .trace import (
     OpticalSystem,
     QuadratureAccuracyWarning,
     SpectralFilter,
+    biphoton_intensity,
     build_quadratic_form,
     coincidence_rate,
     integrate_gaussian,

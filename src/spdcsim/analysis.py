@@ -15,7 +15,13 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .kernel import MODE_GAUSSIAN_APPROX, TransverseWavevector
-from .trace import DetectionAssignment, OpticalSystem, pinhole_smooth, spatial_biphoton
+from .trace import (
+    DetectionAssignment,
+    OpticalSystem,
+    biphoton_intensity,
+    pinhole_smooth,
+    spatial_biphoton,
+)
 
 AXES = ("x", "y")
 
@@ -145,7 +151,12 @@ def run_scan(
     normalize: bool = True,
     method: str = "closed_form",
 ) -> JointDistribution:
-    """Evaluate the coincidence rate over the plan's Cartesian position grid."""
+    """Evaluate the coincidence rate over the plan's Cartesian position grid.
+
+    The rates come from ``biphoton_intensity``; in the Gaussian mode's
+    closed form that is the exponential of the real quadratic
+    log-intensity, with no complex amplitude.
+    """
     positions_a = np.linspace(plan.range_a[0], plan.range_a[1], plan.points)
     positions_b = np.linspace(plan.range_b[0], plan.range_b[1], plan.points)
     lam_a = system.fourier.wavelength_at("A", plan.assignment)
@@ -160,8 +171,7 @@ def run_scan(
     )
     q_A.check_paraxial(lam_a)
     q_B.check_paraxial(lam_b)
-    amplitude = spatial_biphoton(q_A, q_B, system, plan.assignment, method=method)
-    values = np.abs(amplitude) ** 2
+    values = biphoton_intensity(q_A, q_B, system, plan.assignment, method=method)
 
     if pinhole_diameter:
         steps = (positions_a[1] - positions_a[0], positions_b[1] - positions_b[0])

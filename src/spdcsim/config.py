@@ -28,12 +28,7 @@ from .kernel import (
     PumpEnvelope,
     SpdcGeometry,
 )
-from .trace import (
-    DetectionAssignment,
-    FourierPlaneMap,
-    OpticalSystem,
-    SpectralFilter,
-)
+from .trace import FourierPlaneMap, OpticalSystem, SpectralFilter
 
 
 class ConfigError(ValueError):
@@ -199,7 +194,8 @@ def validate(config: RunConfig) -> RunConfig:
     s = config.scan
     if s.axis not in ("x", "y"):
         raise ConfigError(f"scan.axis must be 'x' or 'y', got {s.axis!r}")
-    DetectionAssignment.parse(s.assignment)
+    if s.assignment not in ("ea", "oa"):
+        raise ConfigError(f"scan.assignment must be 'ea' or 'oa', got {s.assignment!r}")
     if not (isinstance(s.points, int) and s.points >= 8):
         raise ConfigError(f"scan.points must be an integer >= 8, got {s.points!r}")
     if not _is_finite_number(s.orthogonal_mm):

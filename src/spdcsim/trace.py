@@ -11,7 +11,9 @@ integrand is again a complex Gaussian; its trace is that closed form
 summed over Gauss-Legendre depth nodes. A trapezoid quadrature over the
 detunings covers either mode and serves as the independent oracle. A CW
 (monochromatic) pump pins omega_o = -omega_e and reduces the trace to one
-dimension.
+dimension. Scans need only the rate |A|^2: in the Gaussian mode its log is
+a real quadratic in the three phase mismatches, so ``biphoton_intensity``
+evaluates one real exponential per point and never forms A.
 """
 
 from __future__ import annotations
@@ -187,12 +189,15 @@ class ComplexQuadraticForm:
         return np.exp(-0.5 * quad + lin + self.constant)
 
     def require_convergent(self) -> None:
-        re_m = np.real(self.matrix)
-        if not (re_m[0, 0] > 0.0 and np.linalg.det(re_m) > 0.0):
-            raise DivergingIntegralError(
-                "Re(M) is not positive definite; the frequency integral diverges "
-                "(check filter and pump spectral parameters)"
-            )
+        _require_positive_definite(np.real(self.matrix))
+
+
+def _require_positive_definite(re_m) -> None:
+    if not (re_m[0, 0] > 0.0 and np.linalg.det(re_m) > 0.0):
+        raise DivergingIntegralError(
+            "Re(M) is not positive definite; the frequency integral diverges "
+            "(check filter and pump spectral parameters)"
+        )
 
 
 def resolve_pair(q_A, q_B, assignment: DetectionAssignment):
@@ -223,13 +228,13 @@ def build_quadratic_form(
     return form
 
 
-def _quadratic_form(q_A, q_B, assignment, geom, pump, filter_e, filter_o, gamma):
-    """The form with acceptance exp(-gamma x^2) exp(i x), x = dk L/2, and dk's parts.
+def _form_constants(geom, pump, filter_e, filter_o, gamma):
+    """Detuning coefficients a1 of d1 and ak of dk, and the real 2x2 matrix M.
 
-    Returns the form, the detuning coefficients ak of dk and dk at zero
-    detuning; gamma = 0 leaves only the phase exp(i x) of the acceptance.
+    M holds the filters, the pump's y waist along a1, the acceptance
+    exp(-gamma x^2), x = dk L/2, along ak and a pulsed pump's spectrum; no
+    term depends on the detector momenta.
     """
-    q_e, q_o = resolve_pair(q_A, q_B, assignment)
     sin_e = math.sin(geom.emission_angle_e)
     sin_o = math.sin(geom.emission_angle_o)
     cos_e = math.cos(geom.emission_angle_e)
@@ -249,13 +254,30 @@ def _quadratic_form(q_A, q_B, assignment, geom, pump, filter_e, filter_o, gamma)
         np.diag([1.0 / (4.0 * filter_e.sigma**2), 1.0 / (4.0 * filter_o.sigma**2)])
         + (pump.waist_y**2 / 4.0) * np.outer(a1, a1)
         + gamma * half_l**2 * np.outer(ak, ak)
-    ).astype(complex)
+    )
     if pump.spectral_mode == SPECTRAL_GAUSSIAN:
         matrix += np.ones((2, 2)) / (2.0 * pump.spectral_sigma**2)
+    return a1, ak, matrix
 
+
+def _mismatches(q_A, q_B, assignment, geom):
+    """The mismatches d0, d1 and dk at zero detuning, per detector-momentum pair."""
+    q_e, q_o = resolve_pair(q_A, q_B, assignment)
     d0 = np.asarray(mismatch_transverse_x(q_e, q_o), dtype=float)
     d1 = np.asarray(mismatch_transverse_y(q_e, 0.0, q_o, 0.0, geom), dtype=float)
     dk = np.asarray(mismatch_longitudinal(q_e, 0.0, q_o, 0.0, geom), dtype=float)
+    return d0, d1, dk
+
+
+def _quadratic_form(q_A, q_B, assignment, geom, pump, filter_e, filter_o, gamma):
+    """The form with acceptance exp(-gamma x^2) exp(i x), x = dk L/2, and dk's parts.
+
+    Returns the form, the detuning coefficients ak of dk and dk at zero
+    detuning; gamma = 0 leaves only the phase exp(i x) of the acceptance.
+    """
+    a1, ak, matrix = _form_constants(geom, pump, filter_e, filter_o, gamma)
+    d0, d1, dk = _mismatches(q_A, q_B, assignment, geom)
+    half_l = geom.crystal_length / 2.0
 
     linear = (
         -(pump.waist_y**2 / 2.0) * d1[..., np.newaxis] * a1
@@ -268,7 +290,9 @@ def _quadratic_form(q_A, q_B, assignment, geom, pump, filter_e, filter_o, gamma)
         - gamma * (half_l * dk) ** 2
         + 1j * half_l * dk
     )
-    form = ComplexQuadraticForm(matrix=matrix, linear=linear, constant=constant)
+    form = ComplexQuadraticForm(
+        matrix=matrix.astype(complex), linear=linear, constant=constant
+    )
     form.require_convergent()
     return form, ak, dk
 
@@ -626,6 +650,60 @@ def spatial_biphoton(
     raise ValueError(f"method must be 'closed_form' or 'quadrature', got {method!r}")
 
 
+def biphoton_intensity(
+    q_A: TransverseWavevector,
+    q_B: TransverseWavevector,
+    system: OpticalSystem,
+    assignment: DetectionAssignment,
+    method: str = "closed_form",
+):
+    """|spatial_biphoton|^2 at a detector-momentum pair; broadcasts like it.
+
+    The Gaussian mode's closed form is pref exp(z) with a linear term
+    b = d1 u + dk v + i w, where u, v and w are constant 2-vectors and d1
+    and dk the mismatches at zero detuning. So 2 Re z + log|pref|^2 is a
+    real quadratic in (d0, d1, dk) whose five coefficients come from M once
+    per call: b^T M^-1 b for a pulsed pump, b_line^2 / m_line on the line
+    omega_o = -omega_e for a CW one. The intensity is that quadratic's
+    exponential, in real arithmetic; with log|pref|^2 inside the exponent,
+    a cell underflows to 0 only where the amplitude's square does. Every
+    other mode and method returns ``np.abs(spatial_biphoton(...)) ** 2``.
+    """
+    if method != "closed_form" or system.mode != MODE_GAUSSIAN_APPROX:
+        return np.abs(spatial_biphoton(q_A, q_B, system, assignment, method=method)) ** 2
+    geom, pump, gamma = system.geometry, system.pump, SINC_GAUSSIAN_GAMMA
+    a1, ak, matrix = _form_constants(geom, pump, system.filter_e, system.filter_o, gamma)
+    _require_positive_definite(matrix)
+    half_l = geom.crystal_length / 2.0
+    u = -(pump.waist_y**2 / 2.0) * a1
+    v = -2.0 * gamma * half_l**2 * ak
+    w = half_l * ak
+    if pump.spectral_mode == SPECTRAL_MONOCHROMATIC:
+        m_line = matrix[0, 0] - matrix[0, 1] - matrix[1, 0] + matrix[1, 1]
+        if not m_line > 0.0:
+            raise DivergingIntegralError(
+                "frequency integral along the CW-pump line diverges"
+            )
+        line = np.array([1.0, -1.0])
+        m_inv = np.outer(line, line) / m_line
+        log_pref = math.log(2.0 * math.pi / m_line)
+    else:
+        m_inv = np.linalg.inv(matrix)
+        log_pref = math.log(4.0 * math.pi**2 / np.linalg.det(matrix))
+
+    def inner(x, y):
+        return float(x @ m_inv @ y)
+
+    alpha_11 = inner(u, u) - pump.waist_y**2 / 2.0
+    alpha_22 = inner(v, v) - 2.0 * gamma * half_l**2
+    alpha_12 = 2.0 * inner(u, v)
+    kappa = log_pref - inner(w, w)
+
+    d0, d1, dk = _mismatches(q_A, q_B, assignment, geom)
+    offset = kappa - (pump.waist_x**2 / 2.0) * d0**2
+    return np.exp(d1 * (alpha_11 * d1 + alpha_12 * dk) + alpha_22 * dk**2 + offset)
+
+
 def coincidence_rate(
     x_A,
     x_B,
@@ -636,8 +714,8 @@ def coincidence_rate(
 
     Positions map to momenta through the Fourier-plane relation of each arm,
     using the central wavelength of the photon that arm detects under the
-    given assignment. The amplitude is the closed form of
-    ``spatial_biphoton``. Always non-negative.
+    given assignment. The rate is the closed form of
+    ``biphoton_intensity``. Always non-negative.
     """
     lam_a = system.fourier.wavelength_at("A", assignment)
     lam_b = system.fourier.wavelength_at("B", assignment)
@@ -651,8 +729,7 @@ def coincidence_rate(
     )
     q_A.check_paraxial(lam_a)
     q_B.check_paraxial(lam_b)
-    amplitude = spatial_biphoton(q_A, q_B, system, assignment)
-    return np.abs(amplitude) ** 2
+    return biphoton_intensity(q_A, q_B, system, assignment)
 
 
 # Padded-grid cells smoothed per chunk of lines across the window axis; chunks

@@ -140,6 +140,14 @@ def test_validate_rejects_non_finite_range_built_in_python():
         validate(config)
 
 
+@pytest.mark.parametrize("label", ["zz", "EA", "Oa"])
+def test_scan_assignment_is_checked_like_the_axis(tmp_path, label):
+    # the CLI reads the field as a lowercase label; other spellings would
+    # pass under a different config digest
+    with pytest.raises(ConfigError, match=rf"scan\.assignment must be 'ea' or 'oa', got '{label}'"):
+        load_config(write(tmp_path, f"scan: {{assignment: {label}}}\n"))
+
+
 def test_scan_points_floor(tmp_path):
     with pytest.raises(ConfigError, match="points"):
         load_config(write(tmp_path, "scan:\n  points: 4\n"))

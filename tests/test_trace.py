@@ -24,6 +24,7 @@ from spdcsim.trace import (
     OpticalSystem,
     QuadratureAccuracyWarning,
     SpectralFilter,
+    biphoton_intensity,
     build_quadratic_form,
     coincidence_rate,
     integrate_gaussian,
@@ -32,6 +33,8 @@ from spdcsim.trace import (
     pinhole_smooth,
     spatial_biphoton,
 )
+
+from test_analysis import relabel_system
 
 EA = DetectionAssignment.E_AT_A
 OA = DetectionAssignment.O_AT_A
@@ -609,6 +612,97 @@ def test_rate_invariant_under_consistent_unit_rescaling(system):
             tuple(v * scale for v in x_a), tuple(v * scale for v in x_b), scaled, EA
         )
         assert km == pytest.approx(si, rel=1e-12)
+
+
+def window_momenta(system, axis, assignment, range_a, range_b, points, orthogonal=0.0):
+    """Detector momenta of a scan window on broadcast axes, as ``run_scan`` builds them."""
+    momenta = [
+        system.fourier.position_to_momentum(
+            np.linspace(*rng, points), system.fourier.wavelength_at(detector, assignment)
+        )
+        for detector, rng in (("A", range_a), ("B", range_b))
+    ]
+    return _momentum_pair(
+        axis, assignment, orthogonal, system,
+        momenta[0][:, np.newaxis], momenta[1][np.newaxis, :],
+    )
+
+
+def amplitude_squared(q_A, q_B, system, assignment):
+    return np.abs(spatial_biphoton(q_A, q_B, system, assignment)) ** 2
+
+
+@pytest.mark.parametrize("orthogonal", [0.0, 1e-3])
+@pytest.mark.parametrize("axis", ["y", "x"])
+@pytest.mark.parametrize("assignment", [EA, OA], ids=["ea", "oa"])
+@pytest.mark.parametrize("kind", ["cw", "pulsed", "asymmetric"])
+def test_intensity_matches_amplitude_squared_on_auto_windows(kind, assignment, axis, orthogonal):
+    system = relabel_system(kind, MODE_GAUSSIAN_APPROX)
+    plan = auto_plan(axis, assignment, system, 48, orthogonal=orthogonal)
+    q_A, q_B = window_momenta(
+        system, axis, assignment, plan.range_a, plan.range_b, plan.points, orthogonal
+    )
+    expected = amplitude_squared(q_A, q_B, system, assignment)
+    got = biphoton_intensity(q_A, q_B, system, assignment)
+    assert got.shape == expected.shape == (48, 48)
+    assert np.max(np.abs(got - expected) / expected) <= 1e-12
+
+
+@pytest.mark.parametrize("axis", ["y", "x"])
+@pytest.mark.parametrize("waist", [31e-6, 148e-6, 500e-6])
+def test_intensity_keeps_the_zero_cells_of_wide_windows(system, waist, axis):
+    # +-12 mm spans 35 to 333 decades; with log|pref|^2 outside the
+    # exponent, exp alone underflows in cells whose rate is still normal
+    wide = system.with_isotropic_waist(waist)
+    window = (-12e-3, 12e-3)
+    q_A, q_B = window_momenta(wide, axis, EA, window, window, 128)
+    expected = amplitude_squared(q_A, q_B, wide, EA)
+    got = biphoton_intensity(q_A, q_B, wide, EA)
+    assert np.array_equal(got == 0.0, expected == 0.0)
+    normal = expected >= np.finfo(float).tiny
+    assert np.max(np.abs(got[normal] - expected[normal]) / expected[normal]) <= 1e-12
+
+
+@pytest.mark.parametrize(
+    "mode, method",
+    [("exact_sinc", "closed_form"), ("exact_sinc", "quadrature"), ("gaussian_approx", "quadrature")],
+)
+def test_intensity_of_other_modes_and_methods_is_amplitude_squared(system, mode, method):
+    system = replace(system, mode=mode)
+    q_A, q_B = qvec(qy=np.array([[-1e4], [1.2e4]])), qvec(qy=np.array([[0.9e4, 2e3]]))
+    expected = np.abs(spatial_biphoton(q_A, q_B, system, EA, method=method)) ** 2
+    assert np.array_equal(biphoton_intensity(q_A, q_B, system, EA, method=method), expected)
+    with pytest.raises(ValueError, match="method"):
+        biphoton_intensity(q_A, q_B, system, EA, method="simpson")
+
+
+@pytest.mark.parametrize(
+    "matrix",
+    [
+        None,
+        np.diag([-1.0, 1.0]) * 1e-26,
+        np.array([[1.0, 2.0], [2.0, 1.0]]) * 1e-26,
+    ],
+    ids=["physical", "negative-entry", "indefinite"],
+)
+@pytest.mark.parametrize("kind", ["cw", "pulsed"])
+def test_intensity_diverges_where_the_amplitude_does(monkeypatch, kind, matrix):
+    system = relabel_system(kind, MODE_GAUSSIAN_APPROX)
+    if matrix is not None:
+        constants = trace_module._form_constants
+        monkeypatch.setattr(
+            trace_module, "_form_constants", lambda *args: (*constants(*args)[:2], matrix)
+        )
+    q_A, q_B = qvec(qy=np.linspace(-1e4, 1e4, 3)), qvec(qy=2e3)
+    outcomes = []
+    for rate in (amplitude_squared, biphoton_intensity):
+        try:
+            rate(q_A, q_B, system, EA)
+            outcomes.append(None)
+        except DivergingIntegralError as exc:
+            outcomes.append(type(exc))
+    assert outcomes[0] == outcomes[1]
+    assert (outcomes[0] is None) == (matrix is None)
 
 
 # ---------------------------------------------------------------- pinhole
