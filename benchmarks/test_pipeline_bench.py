@@ -25,6 +25,11 @@ Every row uses the default config, whose 2 mm pinhole is on. The rows are:
   exponential of the real quadratic log-intensity that ``run_scan`` uses;
   ``complex_amplitude`` is ``np.abs(spatial_biphoton(...)) ** 2``. The two
   must agree to 1e-12 relative.
+- ``auto_plan``: the ea auto window of a 64^2 scan on y and on x, with
+  its Gaussian-model moments taken two ways: ``exact`` is the library's,
+  from the real quadratic log-intensity; ``six_point`` swaps in the
+  central-difference oracle kept in ``tests/test_analysis.py``. The two
+  windows must agree to 1e-12 relative.
 
 This directory sits outside the tier-1 ``testpaths``.
 """
@@ -45,10 +50,15 @@ from spdcsim import (
     run_scan,
     waist_sweep,
 )
+from spdcsim import analysis
 from spdcsim.trace import biphoton_intensity, pinhole_smooth
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
-from test_analysis import reference_assignment_sensitivity, relabel_system  # noqa: E402
+from test_analysis import (  # noqa: E402
+    reference_assignment_sensitivity,
+    relabel_system,
+    six_point_model_moments,
+)
 from test_trace import amplitude_squared, window_momenta  # noqa: E402
 
 SENSITIVITY_POINTS = 512
@@ -59,6 +69,7 @@ INTENSITY_POINTS = 512
 SWEEP_POINTS = 64
 SWEEP_WAISTS = np.linspace(31e-6, 500e-6, 40)  # m
 TRANSITION_TOL = 1e-6  # m
+AUTO_PLAN_POINTS = 64
 
 
 @pytest.fixture(scope="module")
@@ -160,3 +171,20 @@ def test_scan_intensity(benchmark, pump, path):
     other = amplitude_squared if rate is biphoton_intensity else biphoton_intensity
     expected = other(q_A, q_B, system, ea)
     assert np.max(np.abs(got - expected) / expected) <= 1e-12
+
+
+@pytest.mark.parametrize("moments", ["exact", "six_point"])
+@pytest.mark.parametrize("axis", ["y", "x"])
+def test_auto_plan(benchmark, run, monkeypatch, axis, moments):
+    benchmark.group = f"auto_plan {axis} {AUTO_PLAN_POINTS}"
+    ea = DetectionAssignment.E_AT_A
+    if moments == "six_point":
+        monkeypatch.setattr(analysis, "_gaussian_model_moments", six_point_model_moments)
+    plan = benchmark.pedantic(
+        auto_plan, args=(axis, ea, run.system, AUTO_PLAN_POINTS),
+        rounds=50, iterations=10, warmup_rounds=1,
+    )
+    monkeypatch.undo()
+    expected = auto_plan(axis, ea, run.system, AUTO_PLAN_POINTS)
+    for got, want in ((plan.range_a, expected.range_a), (plan.range_b, expected.range_b)):
+        assert np.allclose(got, want, rtol=1e-12, atol=0.0)

@@ -10,17 +10,18 @@ principal-axis orientation used throughout.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .kernel import MODE_GAUSSIAN_APPROX, TransverseWavevector
+from .kernel import TransverseWavevector
 from .trace import (
     DetectionAssignment,
     OpticalSystem,
+    _log_intensity_quadratic,
+    _mismatches,
     biphoton_intensity,
     pinhole_smooth,
-    spatial_biphoton,
 )
 
 AXES = ("x", "y")
@@ -198,7 +199,10 @@ def summarize(dist: JointDistribution) -> CorrelationSummary:
     The normalized grid is read as a probability mass function on the
     momentum nodes (no interpolation); the principal angle is the
     orientation of the covariance eigenvector with the larger eigenvalue,
-    reported in (-pi/2, pi/2].
+    reported in (-pi/2, pi/2]. The peak is the first cell in C order (row,
+    then column) whose value is at least (1 - 1e-12) times the grid
+    maximum, so mirror cells of a point-symmetric grid, which differ only
+    by rounding, always give the same answer.
     """
     weights = np.asarray(dist.values, dtype=float)
     total = weights.sum()
@@ -219,7 +223,8 @@ def summarize(dist: JointDistribution) -> CorrelationSummary:
     pearson = cov_ab / math.sqrt(var_a * var_b)
     # orientation of the major covariance eigenvector; atan2 keeps it in (-pi/2, pi/2]
     angle = 0.5 * math.atan2(2.0 * cov_ab, var_a - var_b)
-    i_peak, j_peak = np.unravel_index(np.argmax(dist.values), dist.values.shape)
+    peak_cells = dist.values >= (1.0 - 1e-12) * dist.values.max()  # first in C order
+    i_peak, j_peak = np.unravel_index(np.argmax(peak_cells), dist.values.shape)
     return CorrelationSummary(
         pearson=pearson,
         covariance=np.array([[var_a, cov_ab], [cov_ab, var_b]]),
@@ -231,38 +236,33 @@ def summarize(dist: JointDistribution) -> CorrelationSummary:
 def _gaussian_model_moments(axis, assignment, system, orthogonal=0.0):
     """Momentum mean and covariance of the scan predicted by the Gaussian model.
 
-    The traced log-intensity of the Gaussian-approximated mode is exactly
-    quadratic in the scan momenta, so six samples recover its gradient and
-    Hessian; the mean follows from the first, the covariance from the
-    second. The same moments size windows for the exact-sinc mode.
-    Directions the model leaves unconstrained (pure ridges) are capped at a
-    fixed variance ratio to the constrained one.
+    Its log-intensity (``trace._log_intensity_quadratic``) is d^T alpha d +
+    kappa in d = J q + d_off, linear in the scan momenta q, so the precision
+    is -2 J^T alpha J and the gradient at q = 0 is 2 J^T alpha d_off. Taken
+    for q = (q_e, q_o) and swapped for ``O_AT_A``, the oa window is the ea
+    one with its detectors swapped. Pure ridges are capped at a fixed
+    variance ratio to the stiffest direction. Exact-sinc windows use them too.
     """
-    h = 1.0e4  # rad/m; any value works on an exact quadratic, this one conditions well
-    q_a = np.array([0.0, h, -h, 0.0, 0.0, h])
-    q_b = np.array([0.0, 0.0, 0.0, h, -h, h])
-    q_A, q_B = _momentum_pair(axis, assignment, orthogonal, system, q_a, q_b)
-    model = replace(system, mode=MODE_GAUSSIAN_APPROX)
-    amplitude = spatial_biphoton(q_A, q_B, model, assignment, method="closed_form")
-    e00, ep0, em0, e0p, e0m, epp = 2.0 * np.log(np.abs(amplitude))
-    gradient = np.array([ep0 - em0, e0p - e0m]) / (2.0 * h)
-    precision = np.array(
-        [
-            [-(ep0 + em0 - 2.0 * e00), -(epp - ep0 - e0p + e00)],
-            [-(epp - ep0 - e0p + e00), -(e0p + e0m - 2.0 * e00)],
-        ]
-    ) / h**2
+    ea, geom = DetectionAssignment.E_AT_A, system.geometry
+    _, a00, a11, a12, a22 = _log_intensity_quadratic(system)
+    alpha = np.array([[a00, 0.0, 0.0], [0.0, a11, a12 / 2.0], [0.0, a12 / 2.0, a22]])
+    # unit momenta on q_e and q_o in turn give the columns of J
+    units = _momentum_pair(axis, ea, 0.0, system, np.array([1.0, 0.0]), np.array([0.0, 1.0]))
+    jacobian = np.array([d + np.zeros(2) for d in _mismatches(*units, ea, geom)])  # d0 may be 0-d
+    at_offset = _momentum_pair(axis, ea, orthogonal, system, 0.0, 0.0)
+    offset = np.array(_mismatches(*at_offset, ea, geom))
+    precision = -2.0 * jacobian.T @ alpha @ jacobian
+    gradient = 2.0 * jacobian.T @ alpha @ offset
     eigenvalues, vectors = np.linalg.eigh(precision)
     stiffest = eigenvalues.max()
     if stiffest <= 0.0:
-        raise DegenerateDistributionError(
-            "scan model predicts an unbounded distribution in every direction"
-        )
+        raise DegenerateDistributionError("scan model is unbounded in every direction")
     eigenvalues = np.maximum(eigenvalues, stiffest / _VARIANCE_RATIO_CAP)
     covariance = vectors @ np.diag(1.0 / eigenvalues) @ vectors.T
     # the capped covariance keeps the mean finite along a ridge, where the
     # gradient component vanishes with the curvature
-    return covariance @ gradient, covariance
+    flip = slice(None, None, -1 if assignment is DetectionAssignment.O_AT_A else 1)
+    return (covariance @ gradient)[flip], covariance[flip, flip]
 
 
 def auto_plan(
@@ -273,10 +273,10 @@ def auto_plan(
     *,
     orthogonal: float = 0.0,
 ) -> ScanPlan:
-    """Scan window of mean +- 3 model widths from the Gaussian model's closed-form moments.
+    """Scan window of mean +- 3 model widths from the Gaussian model's exact moments.
 
-    The moments are taken at the plan's ``orthogonal`` offset, from the
-    Gaussian-approximated mode whatever mode ``system`` itself traces.
+    The moments come from the model's quadratic log-intensity at the plan's
+    ``orthogonal`` offset, whatever mode ``system`` itself traces.
     """
     mean, covariance = _gaussian_model_moments(axis, assignment, system, orthogonal)
     half = _WINDOW_SIGMAS * np.sqrt(np.diag(covariance))
@@ -351,8 +351,9 @@ def waist_sweep(
 ) -> list[tuple[float, float]]:
     """Pearson coefficient per isotropic pump waist, on one fixed scan plan."""
     waists = [float(w) for w in waists]
-    if any(w <= 0.0 for w in waists):
-        raise ValueError("all waists must be positive")
+    bad = [w for w in waists if not 0.0 < w < math.inf]
+    if bad:
+        raise ValueError(f"waists must be finite and positive, got {bad[0]!r}")
     pearson_at = _pearson_by_waist(axis, system, plan, points, pinhole_diameter)
     return [(waist, pearson_at(waist)) for waist in waists]
 
@@ -373,10 +374,11 @@ def find_sign_transition(
     Endpoints must straddle a sign change; bisection proceeds until the
     bracket is narrower than ``tol`` (m) and returns its midpoint.
     """
-    if not (0.0 < waist_lo < waist_hi):
-        raise ValueError("need 0 < waist_lo < waist_hi")
-    if tol <= 0.0:
-        raise ValueError("tol must be positive")
+    for name, value in (("waist_lo", waist_lo), ("waist_hi", waist_hi), ("tol", tol)):
+        if not 0.0 < value < math.inf:
+            raise ValueError(f"{name} must be finite and positive, got {value!r}")
+    if not waist_lo < waist_hi:
+        raise ValueError("need waist_lo < waist_hi")
     pearson_at = _pearson_by_waist(axis, system, plan, points, pinhole_diameter)
     p_lo = pearson_at(waist_lo)
     p_hi = pearson_at(waist_hi)

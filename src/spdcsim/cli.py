@@ -158,8 +158,8 @@ def cmd_scan(args) -> int:
 
 def cmd_sweep(args) -> int:
     run = _load(args)
-    if not args.wmin < args.wmax:
-        raise ValueError("sweep needs wmin < wmax")
+    if not -math.inf < args.wmin < args.wmax < math.inf:
+        raise ValueError("sweep needs finite wmin < wmax")
     if args.steps < 2:
         raise ValueError("sweep needs steps >= 2")
     waists = np.linspace(args.wmin, args.wmax, args.steps) * 1e-6

@@ -12,8 +12,9 @@ summed over Gauss-Legendre depth nodes. A trapezoid quadrature over the
 detunings covers either mode and serves as the independent oracle. A CW
 (monochromatic) pump pins omega_o = -omega_e and reduces the trace to one
 dimension. Scans need only the rate |A|^2: in the Gaussian mode its log is
-a real quadratic in the three phase mismatches, so ``biphoton_intensity``
-evaluates one real exponential per point and never forms A.
+a real quadratic in the three phase mismatches (``_log_intensity_quadratic``),
+which ``biphoton_intensity`` evaluates as one real exponential per point,
+never forming A, and from which the auto scan windows take their moments.
 """
 
 from __future__ import annotations
@@ -650,27 +651,15 @@ def spatial_biphoton(
     raise ValueError(f"method must be 'closed_form' or 'quadrature', got {method!r}")
 
 
-def biphoton_intensity(
-    q_A: TransverseWavevector,
-    q_B: TransverseWavevector,
-    system: OpticalSystem,
-    assignment: DetectionAssignment,
-    method: str = "closed_form",
-):
-    """|spatial_biphoton|^2 at a detector-momentum pair; broadcasts like it.
+def _log_intensity_quadratic(system: OpticalSystem):
+    """log|A|^2 of the Gaussian mode's closed form as a real quadratic.
 
-    The Gaussian mode's closed form is pref exp(z) with a linear term
-    b = d1 u + dk v + i w, where u, v and w are constant 2-vectors and d1
-    and dk the mismatches at zero detuning. So 2 Re z + log|pref|^2 is a
-    real quadratic in (d0, d1, dk) whose five coefficients come from M once
-    per call: b^T M^-1 b for a pulsed pump, b_line^2 / m_line on the line
-    omega_o = -omega_e for a CW one. The intensity is that quadratic's
-    exponential, in real arithmetic; with log|pref|^2 inside the exponent,
-    a cell underflows to 0 only where the amplitude's square does. Every
-    other mode and method returns ``np.abs(spatial_biphoton(...)) ** 2``.
+    Returns kappa, alpha_00, alpha_11, alpha_12 and alpha_22 of log|A|^2 =
+    alpha_00 d0^2 + alpha_11 d1^2 + alpha_12 d1 dk + alpha_22 dk^2 + kappa,
+    d the mismatches at zero detuning. A = pref exp(z) has the linear term
+    b = d1 u + dk v + i w with constant 2-vectors u, v and w, so all come
+    from M: b^T M^-1 b (pulsed pump), b_line^2 / m_line (CW: omega_o = -omega_e).
     """
-    if method != "closed_form" or system.mode != MODE_GAUSSIAN_APPROX:
-        return np.abs(spatial_biphoton(q_A, q_B, system, assignment, method=method)) ** 2
     geom, pump, gamma = system.geometry, system.pump, SINC_GAUSSIAN_GAMMA
     a1, ak, matrix = _form_constants(geom, pump, system.filter_e, system.filter_o, gamma)
     _require_positive_definite(matrix)
@@ -691,16 +680,31 @@ def biphoton_intensity(
         m_inv = np.linalg.inv(matrix)
         log_pref = math.log(4.0 * math.pi**2 / np.linalg.det(matrix))
 
-    def inner(x, y):
-        return float(x @ m_inv @ y)
+    # Python floats, not numpy scalars, so numpy can reuse N^2 temporaries in place
+    alpha_11 = float(u @ m_inv @ u) - pump.waist_y**2 / 2.0
+    alpha_22 = float(v @ m_inv @ v) - 2.0 * gamma * half_l**2
+    alpha_12 = 2.0 * float(u @ m_inv @ v)
+    return log_pref - float(w @ m_inv @ w), -(pump.waist_x**2 / 2.0), alpha_11, alpha_12, alpha_22
 
-    alpha_11 = inner(u, u) - pump.waist_y**2 / 2.0
-    alpha_22 = inner(v, v) - 2.0 * gamma * half_l**2
-    alpha_12 = 2.0 * inner(u, v)
-    kappa = log_pref - inner(w, w)
 
-    d0, d1, dk = _mismatches(q_A, q_B, assignment, geom)
-    offset = kappa - (pump.waist_x**2 / 2.0) * d0**2
+def biphoton_intensity(
+    q_A: TransverseWavevector,
+    q_B: TransverseWavevector,
+    system: OpticalSystem,
+    assignment: DetectionAssignment,
+    method: str = "closed_form",
+):
+    """|spatial_biphoton|^2 at a detector-momentum pair; broadcasts like it.
+
+    In the Gaussian mode's closed form it is the exponential of
+    ``_log_intensity_quadratic``, in real arithmetic, so a cell underflows
+    to 0 only where |A|^2 does; otherwise ``np.abs(spatial_biphoton(...)) ** 2``.
+    """
+    if method != "closed_form" or system.mode != MODE_GAUSSIAN_APPROX:
+        return np.abs(spatial_biphoton(q_A, q_B, system, assignment, method=method)) ** 2
+    kappa, alpha_00, alpha_11, alpha_12, alpha_22 = _log_intensity_quadratic(system)
+    d0, d1, dk = _mismatches(q_A, q_B, assignment, system.geometry)
+    offset = kappa + alpha_00 * d0**2
     return np.exp(d1 * (alpha_11 * d1 + alpha_12 * dk) + alpha_22 * dk**2 + offset)
 
 

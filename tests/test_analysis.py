@@ -16,10 +16,17 @@ from spdcsim.analysis import (
     run_scan,
     summarize,
     waist_sweep,
+    _VARIANCE_RATIO_CAP,
     _gaussian_model_moments,
 )
 from spdcsim.config import default_config, resolve
-from spdcsim.trace import DetectionAssignment, SpectralFilter, biphoton_intensity
+from spdcsim.kernel import MODE_GAUSSIAN_APPROX
+from spdcsim.trace import (
+    DetectionAssignment,
+    SpectralFilter,
+    biphoton_intensity,
+    spatial_biphoton,
+)
 
 EA = DetectionAssignment.E_AT_A
 OA = DetectionAssignment.O_AT_A
@@ -118,7 +125,73 @@ def test_model_moments_match_wide_fine_scan(system, axis):
     assert grid_pearson == pytest.approx(model_pearson, abs=1e-4)
 
 
+def six_point_model_moments(axis, assignment, system, orthogonal=0.0):
+    """Gaussian-model moments from central differences of the traced log-intensity.
+
+    2 log|A| of the Gaussian mode's closed-form amplitude is sampled at six
+    detector-momentum pairs, and a step h recovers the gradient and Hessian
+    of that exact quadratic, with the library's cap on ridge variances.
+    """
+    h = 1.0e4  # rad/m; any value works on an exact quadratic, this one conditions well
+    q_a = np.array([0.0, h, -h, 0.0, 0.0, h])
+    q_b = np.array([0.0, 0.0, 0.0, h, -h, h])
+    q_A, q_B = _momentum_pair(axis, assignment, orthogonal, system, q_a, q_b)
+    model = replace(system, mode=MODE_GAUSSIAN_APPROX)
+    amplitude = spatial_biphoton(q_A, q_B, model, assignment, method="closed_form")
+    e00, ep0, em0, e0p, e0m, epp = 2.0 * np.log(np.abs(amplitude))
+    gradient = np.array([ep0 - em0, e0p - e0m]) / (2.0 * h)
+    cross = -(epp - ep0 - e0p + e00)
+    precision = np.array(
+        [[-(ep0 + em0 - 2.0 * e00), cross], [cross, -(e0p + e0m - 2.0 * e00)]]
+    ) / h**2
+    eigenvalues, vectors = np.linalg.eigh(precision)
+    eigenvalues = np.maximum(eigenvalues, eigenvalues.max() / _VARIANCE_RATIO_CAP)
+    covariance = vectors @ np.diag(1.0 / eigenvalues) @ vectors.T
+    return covariance @ gradient, covariance
+
+
+def model_system(kind):
+    """A ``relabel_system`` kind, a 500 um pump waist or a collinear geometry.
+
+    The 500 um waist makes the ridge cap fire on both axes; the collinear
+    geometry (phi_e = phi_o = 0) leaves the y scan a pure ridge.
+    """
+    if kind in ("cw", "pulsed", "asymmetric"):
+        return relabel_system(kind, MODE_GAUSSIAN_APPROX)
+    system = relabel_system("cw", MODE_GAUSSIAN_APPROX)
+    if kind == "waist_500um":
+        return system.with_isotropic_waist(500e-6)
+    collinear = replace(system.geometry, emission_angle_e=0.0, emission_angle_o=0.0)
+    return replace(system, geometry=collinear)
+
+
+@pytest.mark.parametrize("orthogonal", [0.0, 1e-3])
+@pytest.mark.parametrize("assignment", [EA, OA])
+@pytest.mark.parametrize("axis", ["y", "x"])
+@pytest.mark.parametrize("kind", ["cw", "pulsed", "asymmetric", "waist_500um", "collinear"])
+def test_model_moments_match_six_point_difference(kind, axis, assignment, orthogonal):
+    system = model_system(kind)
+    mean, covariance = _gaussian_model_moments(axis, assignment, system, orthogonal)
+    ref_mean, ref_covariance = six_point_model_moments(axis, assignment, system, orthogonal)
+    # measured worst cases: 3.2e-13 of the largest entry, 2.2e-14 of a model width
+    assert np.max(np.abs(covariance - ref_covariance)) <= 1e-12 * np.max(np.abs(ref_covariance))
+    assert np.all(np.abs(mean - ref_mean) <= 1e-13 * np.sqrt(np.diag(ref_covariance)))
+
+
 # ---------------------------------------------------------------- summarize
+
+def test_peak_is_first_near_maximal_cell_in_c_order():
+    # a point-symmetric grid whose two mirror maxima differ by one ulp, the
+    # later cell in C order being the larger: the earlier one is the peak
+    u = np.linspace(-2.0, 2.0, 21)
+    bump = np.exp(-((u[:, None] - 1.0) ** 2 + (u[None, :] - 0.6) ** 2))
+    grid = bump + bump[::-1, ::-1]
+    first, later = np.flatnonzero(grid == grid.max())
+    grid.flat[later] = np.nextafter(grid.flat[later], np.inf)
+    assert np.argmax(grid) == later
+    i, j = np.unravel_index(first, grid.shape)
+    assert summarize(synthetic_distribution(grid, u, u)).peak == (u[i], u[j])
+
 
 def test_separable_gaussian_has_zero_correlation():
     u = np.linspace(-5.0, 5.0, 101)
@@ -362,6 +435,20 @@ def test_waist_sweep_signs_and_determinism(system):
 def test_waist_sweep_rejects_nonpositive_waist(system):
     with pytest.raises(ValueError, match="positive"):
         waist_sweep("y", [0.0, 1e-4], system)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_waist_sweep_rejects_non_finite_waist(system, bad):
+    with pytest.raises(ValueError, match="waists must be finite"):
+        waist_sweep("y", [31e-6, bad], system)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("name", ["waist_lo", "waist_hi", "tol"])
+def test_sign_transition_rejects_non_finite_arguments(system, name, bad):
+    args = {"waist_lo": 31e-6, "waist_hi": 500e-6, "tol": 1e-6, name: bad}
+    with pytest.raises(ValueError, match=f"{name} must be finite"):
+        find_sign_transition("y", args["waist_lo"], args["waist_hi"], args["tol"], system)
 
 
 def test_sign_transition_found_inside_bracket(system):

@@ -243,6 +243,23 @@ def test_transition_same_sign_bracket_fails(tmp_path, fast_config, capsys):
     assert "same sign" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["transition", "--wlo", "31", "--whi", "500", "--tol", "nan"],
+        ["transition", "--wlo", "31", "--whi", "500", "--tol", "inf"],
+        ["sweep", "--wmin", "31", "--wmax", "inf", "--steps", "5"],
+    ],
+)
+def test_non_finite_waist_or_tolerance_fails(tmp_path, fast_config, capsys, argv):
+    out = ["--out", str(tmp_path / "out.csv")]
+    rc = main([*argv, "--config", str(fast_config), "--axis", "y", *out])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "finite" in err
+    assert not (tmp_path / "out.csv").exists()
+
+
 # ---------------------------------------------------------------- check
 
 def test_check_passes_on_defaults(capsys):
