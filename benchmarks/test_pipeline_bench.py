@@ -21,10 +21,20 @@ Every row uses the default config, whose 2 mm pinhole is on. The rows are:
   ``find_sign_transition``: the y sign flip in that bracket to 1 um.
 - ``scan_intensity``: the rates of one auto-window y scan (ea) at 512^2
   in the Gaussian mode, with a CW pump and with a 0.5 nm pulsed pump,
-  computed two ways: ``real_log_intensity`` is ``biphoton_intensity``, the
-  exponential of the real quadratic log-intensity that ``run_scan`` uses;
-  ``complex_amplitude`` is ``np.abs(spatial_biphoton(...)) ** 2``. The two
-  must agree to 1e-12 relative.
+  computed three ways: ``centred_axes`` is what ``run_scan`` uses, two
+  length-N log-intensity terms added to one N^2 outer product about the
+  window midpoints and one exponential; ``real_log_intensity`` is
+  ``biphoton_intensity``, one real exponential of the quadratic
+  log-intensity per cell of broadcast momentum axes;
+  ``complex_amplitude`` is ``np.abs(spatial_biphoton(...)) ** 2``.
+  ``centred_axes`` must agree with ``real_log_intensity`` to 1e-13
+  relative, and those two with each other's oracle to 1e-12.
+- ``summarize``: the statistics of the pinholed auto-window y scan (ea) at
+  512^2 and 1024^2, taken two ways: ``marginal`` is the library's, from
+  the grid's row and column sums and one matrix-vector product;
+  ``reference`` is the cell-by-cell sum over the whole normalized grid
+  kept in ``tests/test_analysis.py``. The two must agree as that file's
+  ``assert_summaries_agree`` requires (1e-13).
 - ``auto_plan``: the ea auto window of a 64^2 scan on y and on x, with
   its Gaussian-model moments taken two ways: ``exact`` is the library's,
   from the real quadratic log-intensity; ``six_point`` swaps in the
@@ -48,6 +58,7 @@ from spdcsim import (
     find_sign_transition,
     resolve,
     run_scan,
+    summarize,
     waist_sweep,
 )
 from spdcsim import analysis
@@ -55,7 +66,9 @@ from spdcsim.trace import biphoton_intensity, pinhole_smooth
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
 from test_analysis import (  # noqa: E402
+    assert_summaries_agree,
     reference_assignment_sensitivity,
+    reference_summarize,
     relabel_system,
     six_point_model_moments,
 )
@@ -65,6 +78,7 @@ SENSITIVITY_POINTS = 512
 # grid points per axis -> timed rounds
 SCAN_ROUNDS = {64: 20, 256: 10, 1024: 5}
 PINHOLE_ROUNDS = {512: 10, 1024: 5}
+SUMMARIZE_ROUNDS = {512: 20, 1024: 10}
 INTENSITY_POINTS = 512
 SWEEP_POINTS = 64
 SWEEP_WAISTS = np.linspace(31e-6, 500e-6, 40)  # m
@@ -157,7 +171,7 @@ def test_find_sign_transition(benchmark, run):
     assert SWEEP_WAISTS[0] < waist < SWEEP_WAISTS[-1]
 
 
-@pytest.mark.parametrize("path", ["real_log_intensity", "complex_amplitude"])
+@pytest.mark.parametrize("path", ["centred_axes", "real_log_intensity", "complex_amplitude"])
 @pytest.mark.parametrize("pump", ["cw", "pulsed"])
 def test_scan_intensity(benchmark, pump, path):
     benchmark.group = f"Gaussian scan intensity {pump} y {INTENSITY_POINTS}"
@@ -166,11 +180,35 @@ def test_scan_intensity(benchmark, pump, path):
     ea = DetectionAssignment.E_AT_A
     plan = auto_plan("y", ea, system, INTENSITY_POINTS)
     q_A, q_B = window_momenta(system, "y", ea, plan.range_a, plan.range_b, plan.points)
-    rate = {"real_log_intensity": biphoton_intensity, "complex_amplitude": amplitude_squared}[path]
-    got = benchmark.pedantic(rate, args=(q_A, q_B, system, ea), rounds=20, warmup_rounds=1)
-    other = amplitude_squared if rate is biphoton_intensity else biphoton_intensity
-    expected = other(q_A, q_B, system, ea)
-    assert np.max(np.abs(got - expected) / expected) <= 1e-12
+    axes = (q_A.qy[:, 0], q_B.qy[0, :])  # a y scan's momenta
+    rates = {
+        "centred_axes": lambda: analysis._gaussian_scan_rates(plan, system, *axes)[0],
+        "real_log_intensity": lambda: biphoton_intensity(q_A, q_B, system, ea),
+        "complex_amplitude": lambda: amplitude_squared(q_A, q_B, system, ea),
+    }
+    got = benchmark.pedantic(rates[path], rounds=20, warmup_rounds=1)
+    oracle, tolerance = {
+        "centred_axes": ("real_log_intensity", 1e-13),
+        "real_log_intensity": ("complex_amplitude", 1e-12),
+        "complex_amplitude": ("real_log_intensity", 1e-12),
+    }[path]
+    expected = rates[oracle]()
+    assert np.max(np.abs(got - expected) / expected) <= tolerance
+
+
+@pytest.mark.parametrize("path", ["marginal", "reference"])
+@pytest.mark.parametrize("points", list(SUMMARIZE_ROUNDS))
+def test_summarize(benchmark, run, points, path):
+    benchmark.group = f"summarize y {points}"
+    benchmark.extra_info["points"] = points**2
+    plan = auto_plan("y", DetectionAssignment.E_AT_A, run.system, points)
+    dist = run_scan(plan, run.system, pinhole_diameter=run.pinhole_diameter)
+    summaries = {"marginal": summarize, "reference": reference_summarize}
+    got = benchmark.pedantic(
+        summaries[path], args=(dist,), rounds=SUMMARIZE_ROUNDS[points], warmup_rounds=1
+    )
+    assert_summaries_agree(summaries["marginal"](dist), summaries["reference"](dist))
+    assert got.pearson == summaries[path](dist).pearson
 
 
 @pytest.mark.parametrize("moments", ["exact", "six_point"])

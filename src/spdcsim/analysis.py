@@ -14,10 +14,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernel import TransverseWavevector
+from .kernel import MODE_GAUSSIAN_APPROX, TransverseWavevector
 from .trace import (
     DetectionAssignment,
     OpticalSystem,
+    _log_intensity,
     _log_intensity_quadratic,
     _mismatches,
     biphoton_intensity,
@@ -129,7 +130,8 @@ class AssignmentComparison:
 def _momentum_pair(axis, assignment, orthogonal, system: OpticalSystem, grid_a, grid_b):
     """Detector momenta as TransverseWavevectors for a scan along ``axis``.
 
-    ``orthogonal`` is the fixed detector position (m) on the other axis.
+    ``orthogonal`` is the fixed detector position (m) on the other axis, a
+    scalar or an array that broadcasts with the grids.
     """
     lam_a = system.fourier.wavelength_at("A", assignment)
     lam_b = system.fourier.wavelength_at("B", assignment)
@@ -154,9 +156,11 @@ def run_scan(
 ) -> JointDistribution:
     """Evaluate the coincidence rate over the plan's Cartesian position grid.
 
-    The rates come from ``biphoton_intensity``; in the Gaussian mode's
-    closed form that is the exponential of the real quadratic
-    log-intensity, with no complex amplitude.
+    In the Gaussian mode's closed form the log-intensity is an exact
+    quadratic in the scan momenta, so the rates are one exponential of two
+    length-N terms and one N x N outer product (``_gaussian_scan_rates``).
+    Every other mode and method takes ``biphoton_intensity`` on broadcast
+    momentum axes.
     """
     positions_a = np.linspace(plan.range_a[0], plan.range_a[1], plan.points)
     positions_b = np.linspace(plan.range_b[0], plan.range_b[1], plan.points)
@@ -165,14 +169,17 @@ def run_scan(
     momenta_a = system.fourier.position_to_momentum(positions_a, lam_a)
     momenta_b = system.fourier.position_to_momentum(positions_b, lam_b)
 
-    # column and row axes broadcast to the grid in every elementwise trace step
-    q_A, q_B = _momentum_pair(
-        plan.axis, plan.assignment, plan.orthogonal, system,
-        momenta_a[:, np.newaxis], momenta_b[np.newaxis, :],
-    )
+    if method == "closed_form" and system.mode == MODE_GAUSSIAN_APPROX:
+        values, (q_A, q_B) = _gaussian_scan_rates(plan, system, momenta_a, momenta_b)
+    else:
+        # column and row axes broadcast to the grid in every elementwise trace step
+        q_A, q_B = _momentum_pair(
+            plan.axis, plan.assignment, plan.orthogonal, system,
+            momenta_a[:, np.newaxis], momenta_b[np.newaxis, :],
+        )
+        values = biphoton_intensity(q_A, q_B, system, plan.assignment, method=method)
     q_A.check_paraxial(lam_a)
     q_B.check_paraxial(lam_b)
-    values = biphoton_intensity(q_A, q_B, system, plan.assignment, method=method)
 
     if pinhole_diameter:
         steps = (positions_a[1] - positions_a[0], positions_b[1] - positions_b[0])
@@ -181,7 +188,7 @@ def run_scan(
         peak = values.max()
         if peak <= 0.0:
             raise DegenerateDistributionError("scan produced an all-zero grid")
-        values = values / peak
+        values /= peak  # a fresh grid from the trace or the pinhole
     return JointDistribution(
         axis=plan.axis,
         assignment=plan.assignment,
@@ -191,6 +198,57 @@ def run_scan(
         momenta_b=np.asarray(momenta_b),
         values=values,
     )
+
+
+def _log_intensity_model(axis, assignment, system, orthogonal, q_a, q_b):
+    """The Gaussian model's log-intensity in the scan momenta, from one trace call.
+
+    ``trace._log_intensity_quadratic`` writes log I = d^T alpha d + kappa in
+    the mismatches d (``trace._mismatches``), which are linear in the
+    detector momenta: d = J (q_a, q_b) + d(0, 0). One ``_momentum_pair`` and
+    one ``_mismatches`` call take d at unit q_a and at unit q_b with no
+    orthogonal offset, the columns of J, and at the pairs (q_a[k], q_b[k])
+    at the offset. Returns the coefficients, alpha (3x3), J (3x2), d at the
+    pairs (3 x k) and the wavevectors of all traced pairs.
+    """
+    coefficients = _log_intensity_quadratic(system)
+    _, a00, a11, a12, a22 = coefficients
+    alpha = np.array([[a00, 0.0, 0.0], [0.0, a11, a12 / 2.0], [0.0, a12 / 2.0, a22]])
+    ortho = np.full(len(q_a) + 2, float(orthogonal))
+    ortho[:2] = 0.0
+    pair = _momentum_pair(
+        axis, assignment, ortho, system,
+        np.concatenate(([1.0, 0.0], q_a)), np.concatenate(([0.0, 1.0], q_b)),
+    )
+    d = np.array(_mismatches(*pair, assignment, system.geometry))
+    return coefficients, alpha, d[:, :2], d[:, 2:], pair
+
+
+def _gaussian_scan_rates(plan, system, momenta_a, momenta_b):
+    """Gaussian-mode closed-form rates on the grid of two momentum axes.
+
+    About the window midpoints (c_a, c_b), with u = q_a - c_a and
+    v = q_b - c_b, the exact quadratic reads log I = r_a + r_b + 2 h u v:
+    r_a is log I along the row through c_b, r_b is log I along the column
+    through c_a less its value at (c_a, c_b), and h = J_a^T alpha J_b. Two
+    length-N terms are added in place to one N x N outer product, and one
+    in-place exponential gives the rates. Returns them with the traced
+    wavevectors, for the paraxial check.
+    """
+    n = plan.points
+    centre_a = 0.5 * (momenta_a[0] + momenta_a[-1])
+    centre_b = 0.5 * (momenta_b[0] + momenta_b[-1])
+    coefficients, alpha, jacobian, d, pair = _log_intensity_model(
+        plan.axis, plan.assignment, system, plan.orthogonal,
+        np.concatenate([momenta_a, np.full(n, centre_a), [centre_a]]),
+        np.concatenate([np.full(n, centre_b), momenta_b, [centre_b]]),
+    )
+    log_rates = _log_intensity(coefficients, *d)
+    cross = 2.0 * (jacobian[:, 0] @ alpha @ jacobian[:, 1])
+    rates = np.multiply.outer(momenta_a - centre_a, cross * (momenta_b - centre_b))
+    rates += log_rates[:n, np.newaxis]
+    rates += log_rates[n : 2 * n] - log_rates[-1]
+    return np.exp(rates, out=rates), pair
 
 
 def summarize(dist: JointDistribution) -> CorrelationSummary:
@@ -203,19 +261,29 @@ def summarize(dist: JointDistribution) -> CorrelationSummary:
     then column) whose value is at least (1 - 1e-12) times the grid
     maximum, so mirror cells of a point-symmetric grid, which differ only
     by rounding, always give the same answer.
+
+    Means and variances come from the marginals (the grid's row and column
+    sums), and the covariance from one matrix-vector product,
+    (q_a - m_a) . (grid @ (q_b - m_b)) / total, so no grid-sized temporary
+    is made.
     """
-    weights = np.asarray(dist.values, dtype=float)
-    total = weights.sum()
+    values = np.asarray(dist.values, dtype=float)
+    marginal_a = values.sum(axis=1)
+    total = float(marginal_a.sum())
     if total <= 0.0:
         raise DegenerateDistributionError("distribution has zero total weight")
-    weights = weights / total
-    qa = np.asarray(dist.momenta_a)[:, np.newaxis]
-    qb = np.asarray(dist.momenta_b)[np.newaxis, :]
-    mean_a = float((weights * qa).sum())
-    mean_b = float((weights * qb).sum())
-    var_a = float((weights * (qa - mean_a) ** 2).sum())
-    var_b = float((weights * (qb - mean_b) ** 2).sum())
-    cov_ab = float((weights * (qa - mean_a) * (qb - mean_b)).sum())
+    # each marginal over its own sum: support on one row or column gets a
+    # weight of exactly 1 there, so the mean is that node and the variance 0
+    weights_a = marginal_a / total
+    marginal_b = values.sum(axis=0)
+    weights_b = marginal_b / float(marginal_b.sum())
+    q_a = np.asarray(dist.momenta_a, dtype=float)
+    q_b = np.asarray(dist.momenta_b, dtype=float)
+    centred_a = q_a - float(weights_a @ q_a)
+    centred_b = q_b - float(weights_b @ q_b)
+    var_a = float(weights_a @ centred_a**2)
+    var_b = float(weights_b @ centred_b**2)
+    cov_ab = float(centred_a @ ((values @ centred_b) / total))
     if var_a <= 0.0 or var_b <= 0.0:
         raise DegenerateDistributionError(
             "zero variance along a scan axis; correlation is undefined"
@@ -236,21 +304,18 @@ def summarize(dist: JointDistribution) -> CorrelationSummary:
 def _gaussian_model_moments(axis, assignment, system, orthogonal=0.0):
     """Momentum mean and covariance of the scan predicted by the Gaussian model.
 
-    Its log-intensity (``trace._log_intensity_quadratic``) is d^T alpha d +
-    kappa in d = J q + d_off, linear in the scan momenta q, so the precision
-    is -2 J^T alpha J and the gradient at q = 0 is 2 J^T alpha d_off. Taken
-    for q = (q_e, q_o) and swapped for ``O_AT_A``, the oa window is the ea
-    one with its detectors swapped. Pure ridges are capped at a fixed
-    variance ratio to the stiffest direction. Exact-sinc windows use them too.
+    Its log-intensity (``_log_intensity_model``, which ``run_scan`` reads
+    too) is d^T alpha d + kappa in d = J q + d_off, linear in the scan
+    momenta q, so the precision is -2 J^T alpha J and the gradient at q = 0
+    is 2 J^T alpha d_off. Taken for q = (q_e, q_o) and swapped for
+    ``O_AT_A``, the oa window is the ea one with its detectors swapped.
+    Pure ridges are capped at a fixed variance ratio to the stiffest
+    direction. Exact-sinc windows use them too.
     """
-    ea, geom = DetectionAssignment.E_AT_A, system.geometry
-    _, a00, a11, a12, a22 = _log_intensity_quadratic(system)
-    alpha = np.array([[a00, 0.0, 0.0], [0.0, a11, a12 / 2.0], [0.0, a12 / 2.0, a22]])
-    # unit momenta on q_e and q_o in turn give the columns of J
-    units = _momentum_pair(axis, ea, 0.0, system, np.array([1.0, 0.0]), np.array([0.0, 1.0]))
-    jacobian = np.array([d + np.zeros(2) for d in _mismatches(*units, ea, geom)])  # d0 may be 0-d
-    at_offset = _momentum_pair(axis, ea, orthogonal, system, 0.0, 0.0)
-    offset = np.array(_mismatches(*at_offset, ea, geom))
+    _, alpha, jacobian, at_offset, _ = _log_intensity_model(
+        axis, DetectionAssignment.E_AT_A, system, orthogonal, [0.0], [0.0]
+    )
+    offset = at_offset[:, 0]
     precision = -2.0 * jacobian.T @ alpha @ jacobian
     gradient = 2.0 * jacobian.T @ alpha @ offset
     eigenvalues, vectors = np.linalg.eigh(precision)

@@ -218,7 +218,7 @@ def load_config(path) -> RunConfig:
     if not path.exists():
         raise ConfigError(f"config file {path} not found")
     try:
-        raw = yaml.safe_load(path.read_text())
+        raw = yaml.load(path.read_text(), Loader=dispersion.YAML_LOADER)
     except yaml.YAMLError as exc:
         mark = getattr(exc, "problem_mark", None)
         where = f" (line {mark.line + 1}, column {mark.column + 1})" if mark else ""

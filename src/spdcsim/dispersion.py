@@ -21,6 +21,10 @@ C_LIGHT = 299792458.0  # m/s
 # Relative frequency step for internal finite-difference derivatives.
 DERIVATIVE_STEP = 1e-6
 
+# libyaml's safe loader where PyYAML was built with it, the pure-Python one
+# otherwise; both build the same values from the shipped config and data files
+YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+
 
 class WavelengthRangeError(ValueError):
     """Wavelength outside the validity range of the dispersion data."""
@@ -133,7 +137,7 @@ def load_material(source) -> SellmeierModel:
     if not path.exists():
         raise MaterialFileError(f"material file {str(source)!r} not found")
     try:
-        raw = yaml.safe_load(path.read_text())
+        raw = yaml.load(path.read_text(), Loader=YAML_LOADER)
     except yaml.YAMLError as exc:
         raise MaterialFileError(f"cannot parse {path}: {exc}") from exc
     if not isinstance(raw, dict):

@@ -14,7 +14,8 @@ detunings covers either mode and serves as the independent oracle. A CW
 dimension. Scans need only the rate |A|^2: in the Gaussian mode its log is
 a real quadratic in the three phase mismatches (``_log_intensity_quadratic``),
 which ``biphoton_intensity`` evaluates as one real exponential per point,
-never forming A, and from which the auto scan windows take their moments.
+never forming A. Scans and their auto windows read the same quadratic in
+the scan momenta (``analysis._log_intensity_model``).
 """
 
 from __future__ import annotations
@@ -687,6 +688,13 @@ def _log_intensity_quadratic(system: OpticalSystem):
     return log_pref - float(w @ m_inv @ w), -(pump.waist_x**2 / 2.0), alpha_11, alpha_12, alpha_22
 
 
+def _log_intensity(coefficients, d0, d1, dk):
+    """log|A|^2 from the ``_log_intensity_quadratic`` coefficients and the mismatches."""
+    kappa, alpha_00, alpha_11, alpha_12, alpha_22 = coefficients
+    offset = kappa + alpha_00 * d0**2
+    return d1 * (alpha_11 * d1 + alpha_12 * dk) + alpha_22 * dk**2 + offset
+
+
 def biphoton_intensity(
     q_A: TransverseWavevector,
     q_B: TransverseWavevector,
@@ -702,10 +710,8 @@ def biphoton_intensity(
     """
     if method != "closed_form" or system.mode != MODE_GAUSSIAN_APPROX:
         return np.abs(spatial_biphoton(q_A, q_B, system, assignment, method=method)) ** 2
-    kappa, alpha_00, alpha_11, alpha_12, alpha_22 = _log_intensity_quadratic(system)
-    d0, d1, dk = _mismatches(q_A, q_B, assignment, system.geometry)
-    offset = kappa + alpha_00 * d0**2
-    return np.exp(d1 * (alpha_11 * d1 + alpha_12 * dk) + alpha_22 * dk**2 + offset)
+    mismatches = _mismatches(q_A, q_B, assignment, system.geometry)
+    return np.exp(_log_intensity(_log_intensity_quadratic(system), *mismatches))
 
 
 def coincidence_rate(
@@ -775,8 +781,8 @@ def pinhole_smooth(values: np.ndarray, steps, diameter: float) -> np.ndarray:
     nodes on either side within +-diameter/2, so the grid total is conserved
     and the maximum can only decrease. The circular convolution wraps mass
     near one edge of the window onto the opposite edge. That is a known
-    defect, kept here (ROADMAP.md, open item 2). ``diameter = 0`` returns an
-    unsmoothed copy.
+    defect, kept here (ROADMAP.md, open item "Grid statistics that converge
+    to the continuum"). ``diameter = 0`` returns an unsmoothed copy.
 
     Each axis is wrap-padded by ``taps`` nodes, and each width-(2 taps + 1)
     window sum is put together from power-of-two block sums

@@ -3,9 +3,13 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from spdcsim.analysis import (
     BracketError,
+    CorrelationSummary,
     DegenerateDistributionError,
     JointDistribution,
     ScanPlan,
@@ -243,6 +247,133 @@ def test_single_row_support_is_degenerate():
         summarize(synthetic_distribution(grid, u, u))
 
 
+@pytest.mark.parametrize("seed", range(12))
+@pytest.mark.parametrize("line", ["row", "column"])
+def test_support_on_one_line_is_degenerate_for_any_weights(line, seed):
+    # unequal weights on unevenly spaced nodes: the marginal over its own sum
+    # is exactly 1 on the line, so the variance across it is exactly 0
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(4, 40))
+    u = np.sort(rng.uniform(-3.0, 3.0, n))
+    grid = np.zeros((n, n))
+    k = int(rng.integers(n))
+    if line == "row":
+        grid[k, :] = rng.uniform(0.0, 1.0, n)
+    else:
+        grid[:, k] = rng.uniform(0.0, 1.0, n)
+    with pytest.raises(DegenerateDistributionError, match="zero variance"):
+        summarize(synthetic_distribution(grid, u, u))
+
+
+def reference_summarize(dist):
+    """Second moments summed over the whole normalized grid, cell by cell.
+
+    The oracle for ``summarize``, which reads the same moments from the
+    marginals and one matrix-vector product.
+    """
+    weights = np.asarray(dist.values, dtype=float)
+    total = weights.sum()
+    if total <= 0.0:
+        raise DegenerateDistributionError("distribution has zero total weight")
+    weights = weights / total
+    qa = np.asarray(dist.momenta_a)[:, np.newaxis]
+    qb = np.asarray(dist.momenta_b)[np.newaxis, :]
+    mean_a = float((weights * qa).sum())
+    mean_b = float((weights * qb).sum())
+    var_a = float((weights * (qa - mean_a) ** 2).sum())
+    var_b = float((weights * (qb - mean_b) ** 2).sum())
+    cov_ab = float((weights * (qa - mean_a) * (qb - mean_b)).sum())
+    if var_a <= 0.0 or var_b <= 0.0:
+        raise DegenerateDistributionError(
+            "zero variance along a scan axis; correlation is undefined"
+        )
+    pearson = cov_ab / math.sqrt(var_a * var_b)
+    angle = 0.5 * math.atan2(2.0 * cov_ab, var_a - var_b)
+    peak_cells = dist.values >= (1.0 - 1e-12) * dist.values.max()
+    i_peak, j_peak = np.unravel_index(np.argmax(peak_cells), dist.values.shape)
+    return CorrelationSummary(
+        pearson=pearson,
+        covariance=np.array([[var_a, cov_ab], [cov_ab, var_b]]),
+        principal_angle=angle,
+        peak=(float(dist.momenta_a[i_peak]), float(dist.momenta_b[j_peak])),
+    )
+
+
+def assert_summaries_agree(got, want, rel=1e-13):
+    """Pearson to rel, each variance to rel of itself, the covariance to rel
+    of sqrt(var_a var_b), the angle to the error those allow, the peak exactly."""
+    (var_a, cov_ab), (_, var_b) = want.covariance
+    assert got.covariance[0, 0] == pytest.approx(var_a, rel=rel, abs=0.0)
+    assert got.covariance[1, 1] == pytest.approx(var_b, rel=rel, abs=0.0)
+    assert got.covariance[0, 1] == got.covariance[1, 0]
+    assert abs(got.covariance[0, 1] - cov_ab) <= rel * math.sqrt(var_a * var_b)
+    assert abs(got.pearson - want.pearson) <= rel  # |pearson| <= 1
+    # the axis is set to within rel (var_a + var_b) / eigenvalue gap, modulo pi
+    gap = math.hypot(var_a - var_b, 2.0 * cov_ab)
+    turn = (got.principal_angle - want.principal_angle + math.pi / 2) % math.pi - math.pi / 2
+    assert gap == 0.0 or abs(turn) <= rel * (var_a + var_b) / gap
+    assert got.peak == want.peak
+
+
+# cells: zeros, tiny values, unit-scale values and cells up to 1e6; no
+# value lies below 1e-100, so that var_a * var_b cannot underflow
+GRID_CELLS = st.one_of(
+    st.just(0.0),
+    st.floats(1e-100, 1e-80),
+    st.floats(1e-3, 1.0),
+    st.floats(1.0, 1e6),
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)  # the same examples every run
+@given(
+    grid=hnp.arrays(
+        float, hnp.array_shapes(min_dims=2, max_dims=2, min_side=2, max_side=24),
+        elements=GRID_CELLS,
+    ),
+    peak=st.one_of(st.just(0.0), st.floats(1.0, 1e8)),
+    where=st.integers(0, 24 * 24 - 1),
+    offset=st.floats(-5.0, 5.0),
+)
+def test_summarize_matches_cell_by_cell_reference(grid, peak, where, offset):
+    grid.flat[where % grid.size] += peak  # a single-cell peak over the rest
+    u = offset + np.linspace(-1.0, 1.0, grid.shape[0])
+    v = np.linspace(-2.0, 0.5, grid.shape[1]) ** 3
+    rows, columns = np.nonzero(grid)
+    if rows.size == 0:
+        return  # JointDistribution rejects a grid with no positive cell
+    dist = synthetic_distribution(grid, u, v)
+    if len(set(rows)) < 2 or len(set(columns)) < 2:
+        # the reference can leave a rounding residue here instead of raising
+        with pytest.raises(DegenerateDistributionError):
+            summarize(dist)
+        return
+    want = reference_summarize(dist)
+    # a mean rounded by delta ~ 1e-16 |q| adds delta^2 to a variance: below
+    # 1e-16 q^2 that residue, not the grid, sets the reference's variance
+    (var_a, _), (_, var_b) = want.covariance
+    assume(var_a >= 1e-16 * np.max(u**2) and var_b >= 1e-16 * np.max(v**2))
+    assert_summaries_agree(summarize(dist), want)
+
+
+def test_summarize_is_bitwise_repeatable(system):
+    # the covariance's matrix-vector product runs in BLAS, which may split
+    # it across threads; the summary must not depend on how
+    dist = run_scan(auto_plan("x", EA, system, 512), system, pinhole_diameter=PINHOLE)
+    first, second = summarize(dist), summarize(dist)
+    assert np.array_equal(first.covariance, second.covariance)
+    assert (first.pearson, first.principal_angle, first.peak) == (
+        second.pearson, second.principal_angle, second.peak
+    )
+
+
+@pytest.mark.parametrize("pinhole", [0.0, PINHOLE])
+@pytest.mark.parametrize("axis", ["y", "x"])
+def test_summarize_matches_reference_on_scans(system, axis, pinhole):
+    dist = run_scan(auto_plan(axis, EA, system, 128), system, pinhole_diameter=pinhole)
+    assert_summaries_agree(summarize(dist), reference_summarize(dist))
+
+
 # ---------------------------------------------------------------- sensitivity
 
 def reference_assignment_sensitivity(
@@ -347,13 +478,47 @@ def meshgrid_scan_values(plan, system, method="closed_form"):
 
 @pytest.mark.parametrize("orthogonal", [0.0, 1e-3])
 @pytest.mark.parametrize("axis", ["y", "x"])
-@pytest.mark.parametrize("mode", ["gaussian_approx", "exact_sinc"])
+@pytest.mark.parametrize("mode", ["exact_sinc"])  # Gaussian-mode scans: the two tests below
 @pytest.mark.parametrize("kind", ["cw", "pulsed"])
 def test_scan_on_broadcast_axes_matches_meshgrid_trace_bitwise(kind, mode, axis, orthogonal):
     system = relabel_system(kind, mode)
     plan = auto_plan(axis, EA, system, 24, orthogonal=orthogonal)
     dist = run_scan(plan, system, normalize=False)
     assert np.array_equal(dist.values, meshgrid_scan_values(plan, system))
+
+
+@pytest.mark.parametrize("orthogonal", [0.0, 1e-3])
+@pytest.mark.parametrize("assignment", [EA, OA], ids=["ea", "oa"])
+@pytest.mark.parametrize("axis", ["y", "x"])
+@pytest.mark.parametrize("kind", ["cw", "pulsed", "asymmetric"])
+def test_gaussian_scan_rates_match_intensity_on_auto_windows(kind, axis, assignment, orthogonal):
+    # run_scan's rank-one sum against biphoton_intensity cell by cell;
+    # measured worst case 4.3e-14
+    system = relabel_system(kind, MODE_GAUSSIAN_APPROX)
+    plan = auto_plan(axis, assignment, system, 48, orthogonal=orthogonal)
+    got = run_scan(plan, system, normalize=False).values
+    expected = meshgrid_scan_values(plan, system)
+    assert np.max(np.abs(got - expected) / expected) <= 1e-13
+
+
+@pytest.mark.parametrize("axis", ["y", "x"])
+@pytest.mark.parametrize("kind", ["cw", "pulsed", "asymmetric"])
+def test_gaussian_scan_rates_keep_the_zero_cells_of_8x_windows(kind, axis):
+    # log-rates down to about -745 meet the exponential's underflow; measured
+    # worst case on normal floats 5.7e-13
+    system = relabel_system(kind, MODE_GAUSSIAN_APPROX)
+    auto = auto_plan(axis, EA, system, 128)
+    plan = replace(
+        auto,
+        range_a=tuple(8.0 * np.asarray(auto.range_a) - 7.0 * np.mean(auto.range_a)),
+        range_b=tuple(8.0 * np.asarray(auto.range_b) - 7.0 * np.mean(auto.range_b)),
+    )
+    got = run_scan(plan, system, normalize=False).values
+    expected = meshgrid_scan_values(plan, system)
+    assert np.any(expected == 0.0)
+    assert np.array_equal(got == 0.0, expected == 0.0)
+    normal = expected >= np.finfo(float).tiny
+    assert np.max(np.abs(got[normal] - expected[normal]) / expected[normal]) <= 1e-12
 
 
 def test_quadrature_scan_on_broadcast_axes_matches_meshgrid_trace_bitwise(system):

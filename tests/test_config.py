@@ -1,7 +1,10 @@
 import math
+from pathlib import Path
 
 import pytest
+import yaml
 
+from spdcsim import dispersion
 from spdcsim.config import (
     ConfigError,
     RunConfig,
@@ -216,3 +219,33 @@ def test_digest_follows_material_file_contents(tmp_path):
 def test_missing_config_file(tmp_path):
     with pytest.raises(ConfigError, match="not found"):
         load_config(tmp_path / "absent.yaml")
+
+
+REPO = Path(__file__).resolve().parents[1]
+YAML_FILES = sorted((REPO / "tests").rglob("*.yaml")) + sorted(
+    (REPO / "src" / "spdcsim" / "data").glob("*.yaml")
+)
+
+
+@pytest.mark.parametrize("path", YAML_FILES, ids=lambda p: p.name)
+def test_yaml_loader_builds_the_python_loaders_values(path):
+    text = path.read_text()
+    # repr tells 1 from 1.0 and keeps key order
+    assert repr(yaml.load(text, Loader=dispersion.YAML_LOADER)) == repr(
+        yaml.load(text, Loader=yaml.SafeLoader)
+    )
+
+
+def test_yaml_loader_is_libyaml_where_built_and_keeps_every_digest(monkeypatch):
+    if yaml.__with_libyaml__:
+        assert dispersion.YAML_LOADER is yaml.CSafeLoader
+    configs = [p for p in YAML_FILES if p.parent.name == "golden"]
+    assert configs
+
+    def digests():
+        runs = [resolve(load_config(p), base_dir=p.parent) for p in configs]
+        return [run.digest for run in runs] + [config_digest(default_config())]
+
+    fast = digests()
+    monkeypatch.setattr(dispersion, "YAML_LOADER", yaml.SafeLoader)
+    assert digests() == fast

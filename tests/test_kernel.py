@@ -245,6 +245,28 @@ def test_transverse_wavevector_rejects_nonfinite():
         TransverseWavevector(qx=0.0, qy=math.inf)
 
 
+# each form of a component holding v: scalars take math.isfinite, arrays np.isfinite
+COMPONENT_FORMS = {
+    "python_float": float,
+    "numpy_float64": np.float64,
+    "numpy_float32": np.float32,
+    "zero_d_array": np.array,
+    "nd_array": lambda v: np.array([[0.0, 1.0, -2.0], [3.0, v, 4.0]]),
+}
+
+
+@pytest.mark.parametrize("form", list(COMPONENT_FORMS))
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("component", ["qx", "qy"])
+def test_transverse_wavevector_rejects_nonfinite_in_every_form(component, bad, form):
+    make = COMPONENT_FORMS[form]
+    fields = {"qx": make(1.0), "qy": make(1.0)}
+    TransverseWavevector(**fields)
+    fields[component] = make(bad)
+    with pytest.raises(ValueError, match="must be finite"):
+        TransverseWavevector(**fields)
+
+
 def test_paraxial_warning_fires_beyond_tenth_of_carrier():
     q = TransverseWavevector(qx=1e6, qy=0.0)
     with pytest.warns(ParaxialWarning):
