@@ -47,7 +47,6 @@ from .trace import (
     build_quadratic_form,
     coincidence_rate,
     integrate_gaussian,
-    integrate_gaussian_antidiagonal,
     integrate_quadrature,
     pinhole_smooth,
     spatial_biphoton,

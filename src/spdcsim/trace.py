@@ -11,11 +11,15 @@ integrand is again a complex Gaussian; its trace is that closed form
 summed over Gauss-Legendre depth nodes. A trapezoid quadrature over the
 detunings covers either mode and serves as the independent oracle. A CW
 (monochromatic) pump pins omega_o = -omega_e and reduces the trace to one
-dimension. Scans need only the rate |A|^2: in the Gaussian mode its log is
-a real quadratic in the three phase mismatches (``_log_intensity_quadratic``),
-which ``biphoton_intensity`` evaluates as one real exponential per point,
-never forming A. Scans and their auto windows read the same quadratic in
-the scan momenta (``analysis._log_intensity_model``).
+dimension. ``_on_support`` alone restricts M and the linear terms to the
+pump's support, and one k-dimensional closed form (``_gaussian_integral``,
+k = 1 or 2) serves both pumps. Re(M) positive definite is the one
+divergence rule. Scans need only the rate |A|^2: in the Gaussian mode its
+log is a real quadratic in the three phase mismatches
+(``_log_intensity_quadratic``), which ``biphoton_intensity`` evaluates as
+one real exponential per point, never forming A. Scans and their auto
+windows read the same quadratic in the scan momenta
+(``analysis._log_intensity_model``).
 """
 
 from __future__ import annotations
@@ -195,7 +199,7 @@ class ComplexQuadraticForm:
 
 
 def _require_positive_definite(re_m) -> None:
-    if not (re_m[0, 0] > 0.0 and np.linalg.det(re_m) > 0.0):
+    if not (re_m[0, 0] > 0.0 and re_m[0, 0] * re_m[1, 1] - re_m[0, 1] * re_m[1, 0] > 0.0):
         raise DivergingIntegralError(
             "Re(M) is not positive definite; the frequency integral diverges "
             "(check filter and pump spectral parameters)"
@@ -299,33 +303,41 @@ def _quadratic_form(q_A, q_B, assignment, geom, pump, filter_e, filter_o, gamma)
     return form, ak, dk
 
 
-def _sqrt_det_continuous(matrix: np.ndarray) -> complex:
-    # branch continuous from the real positive-definite limit: product of
-    # principal square roots of the eigenvalues, which sit in Re > 0
-    eigenvalues = np.linalg.eigvals(matrix)
-    return complex(np.prod(np.sqrt(eigenvalues)))
+def _on_support(pump, matrix, *vectors):
+    """M^-1, det M and the vectors of a frequency trace on the pump's support.
+
+    A pulsed pump leaves both detunings free: the inverse and determinant
+    are those of the 2x2 M and each (..., 2) vector comes back unchanged. A
+    CW pump pins omega_o = -omega_e, so along l = (1, -1) M is the 1x1
+    m_line = l^T M l, its inverse 1/m_line, and each vector v is
+    v_e - v_o, of shape (..., 1). A positive definite Re(M) makes
+    Re(m_line) positive, so the restriction checks nothing.
+    """
+    if pump.spectral_mode == SPECTRAL_MONOCHROMATIC:
+        m_line = matrix[0, 0] - matrix[0, 1] - matrix[1, 0] + matrix[1, 1]
+        return (
+            (1.0 / m_line).reshape(1, 1), m_line,
+            *(v[..., :1] - v[..., 1:] for v in vectors),
+        )
+    return (np.linalg.inv(matrix), np.linalg.det(matrix), *vectors)
+
+
+def _gaussian_integral(inverse, det, linear, constant):
+    """(2 pi)^(k/2) / sqrt(det M) exp(b^T M^-1 b / 2 + c) over k = 1 or 2 detunings.
+
+    Every eigenvalue of M has a positive real part when Re(M) is positive
+    definite, so det M, their product, stays off the negative real axis and
+    its principal square root is the branch continuous from the real limit.
+    """
+    quad = np.einsum("...i,ij,...j->...", linear, inverse, linear)
+    return (2.0 * np.pi) ** (len(inverse) / 2) / np.sqrt(det) * np.exp(0.5 * quad + constant)
 
 
 def integrate_gaussian(form: ComplexQuadraticForm):
     """Closed form of the full 2-D integral: (2 pi / sqrt(det M)) exp(b^T M^-1 b / 2 + c)."""
     form.require_convergent()
-    m_inv = np.linalg.inv(form.matrix)
-    quad = np.einsum("...i,ij,...j->...", form.linear, m_inv, form.linear)
-    return 2.0 * np.pi / _sqrt_det_continuous(form.matrix) * np.exp(0.5 * quad + form.constant)
-
-
-def integrate_gaussian_antidiagonal(form: ComplexQuadraticForm):
-    """Closed form of the 1-D integral along omega_o = -omega_e (CW pump trace)."""
     m = form.matrix
-    m_line = m[0, 0] - m[0, 1] - m[1, 0] + m[1, 1]
-    if not np.real(m_line) > 0.0:
-        raise DivergingIntegralError(
-            "frequency integral along the CW-pump line diverges"
-        )
-    b_line = form.linear[..., 0] - form.linear[..., 1]
-    return np.sqrt(2.0 * np.pi / m_line) * np.exp(
-        b_line**2 / (2.0 * m_line) + form.constant
-    )
+    return _gaussian_integral(np.linalg.inv(m), np.linalg.det(m), form.linear, form.constant)
 
 
 @functools.lru_cache(maxsize=16)
@@ -409,28 +421,19 @@ def _trace_exact_sinc(q_A, q_B, system, assignment):
     complex Gaussian with i s (L/2) ak added to its linear term and
     i s (L/2) dk0 to its constant, so its closed form is the s = 0 value
     times exp(B s + C s^2): B = i (L/2) (ak^T M^-1 b + dk0) per point and
-    C = -(L/2)^2 ak^T M^-1 ak / 2, with M, b and ak restricted to the line
-    omega_o = -omega_e for a CW pump.
+    C = -(L/2)^2 ak^T M^-1 ak / 2, with M, b and ak on the pump's support
+    (``_on_support``).
     """
-    geom, pump = system.geometry, system.pump
+    geom = system.geometry
     form, ak, dk = _quadratic_form(
-        q_A, q_B, assignment, geom, pump, system.filter_e, system.filter_o, 0.0
+        q_A, q_B, assignment, geom, system.pump, system.filter_e, system.filter_o, 0.0
     )
+    inverse, det, linear, ak = _on_support(system.pump, form.matrix, form.linear, ak)
+    base = _gaussian_integral(inverse, det, linear, form.constant)
+    m_inv_ak = inverse @ ak
     half_l = geom.crystal_length / 2.0
-    if pump.spectral_mode == SPECTRAL_MONOCHROMATIC:
-        base = integrate_gaussian_antidiagonal(form)
-        m = form.matrix
-        ak_line = ak[0] - ak[1]
-        m_inv_ak = ak_line / (m[0, 0] - m[0, 1] - m[1, 0] + m[1, 1])
-        ak_b = (form.linear[..., 0] - form.linear[..., 1]) * m_inv_ak
-        ak_ak = ak_line * m_inv_ak
-    else:
-        base = integrate_gaussian(form)
-        m_inv_ak = np.linalg.solve(form.matrix, ak)
-        ak_b = form.linear @ m_inv_ak
-        ak_ak = ak @ m_inv_ak
-    slope = 1j * half_l * (ak_b + dk)
-    curvature = complex(-0.5 * half_l**2 * ak_ak)
+    slope = 1j * half_l * (linear @ m_inv_ak + dk)
+    curvature = complex(-0.5 * half_l**2 * (ak @ m_inv_ak))
     return base * depth_average(slope, curvature, np.abs(base))
 
 
@@ -462,9 +465,9 @@ def _trace_monochromatic(q_e, q_o, form, system, nodes):
     """
     geom, pump = system.geometry, system.pump
     filter_e, filter_o = system.filter_e, system.filter_o
-    matrix = form.matrix
-    m_line = float(np.real(matrix[0, 0] - matrix[0, 1] - matrix[1, 0] + matrix[1, 1]))
-    b_line = (form.linear[..., 0] - form.linear[..., 1]).reshape(-1)
+    _, m_line, b_line = _on_support(pump, form.matrix, form.linear)
+    m_line = float(np.real(m_line))
+    b_line = b_line.reshape(-1)
     center = b_line.real / m_line
     product_sigma = 1.0 / math.sqrt(m_line)
     pair_sigma = 1.0 / math.sqrt(
@@ -644,9 +647,8 @@ def spatial_biphoton(
             q_A, q_B, assignment, system.geometry, system.pump,
             system.filter_e, system.filter_o,
         )
-        if system.pump.spectral_mode == SPECTRAL_MONOCHROMATIC:
-            return integrate_gaussian_antidiagonal(form)
-        return integrate_gaussian(form)
+        inverse, det, linear = _on_support(system.pump, form.matrix, form.linear)
+        return _gaussian_integral(inverse, det, linear, form.constant)
     if method == "quadrature":
         return integrate_quadrature(q_A, q_B, system, assignment)
     raise ValueError(f"method must be 'closed_form' or 'quadrature', got {method!r}")
@@ -659,33 +661,22 @@ def _log_intensity_quadratic(system: OpticalSystem):
     alpha_00 d0^2 + alpha_11 d1^2 + alpha_12 d1 dk + alpha_22 dk^2 + kappa,
     d the mismatches at zero detuning. A = pref exp(z) has the linear term
     b = d1 u + dk v + i w with constant 2-vectors u, v and w, so all come
-    from M: b^T M^-1 b (pulsed pump), b_line^2 / m_line (CW: omega_o = -omega_e).
+    from one Gram matrix of u, v and w in M^-1 on the pump's support
+    (``_on_support``) and from |pref|^2 = (2 pi)^k / det M.
     """
     geom, pump, gamma = system.geometry, system.pump, SINC_GAUSSIAN_GAMMA
     a1, ak, matrix = _form_constants(geom, pump, system.filter_e, system.filter_o, gamma)
     _require_positive_definite(matrix)
     half_l = geom.crystal_length / 2.0
-    u = -(pump.waist_y**2 / 2.0) * a1
-    v = -2.0 * gamma * half_l**2 * ak
-    w = half_l * ak
-    if pump.spectral_mode == SPECTRAL_MONOCHROMATIC:
-        m_line = matrix[0, 0] - matrix[0, 1] - matrix[1, 0] + matrix[1, 1]
-        if not m_line > 0.0:
-            raise DivergingIntegralError(
-                "frequency integral along the CW-pump line diverges"
-            )
-        line = np.array([1.0, -1.0])
-        m_inv = np.outer(line, line) / m_line
-        log_pref = math.log(2.0 * math.pi / m_line)
-    else:
-        m_inv = np.linalg.inv(matrix)
-        log_pref = math.log(4.0 * math.pi**2 / np.linalg.det(matrix))
-
+    # rows u, v and w of the linear term b = d1 u + dk v + i w
+    rows = np.array([-(pump.waist_y**2 / 2.0) * a1, -2.0 * gamma * half_l**2 * ak, half_l * ak])
+    m_inv, det, rows = _on_support(pump, matrix, rows)
     # Python floats, not numpy scalars, so numpy can reuse N^2 temporaries in place
-    alpha_11 = float(u @ m_inv @ u) - pump.waist_y**2 / 2.0
-    alpha_22 = float(v @ m_inv @ v) - 2.0 * gamma * half_l**2
-    alpha_12 = 2.0 * float(u @ m_inv @ v)
-    return log_pref - float(w @ m_inv @ w), -(pump.waist_x**2 / 2.0), alpha_11, alpha_12, alpha_22
+    (uu, uv, _), (_, vv, _), (_, _, ww) = (rows @ m_inv @ rows.T).tolist()
+    log_pref = math.log((2.0 * math.pi) ** len(m_inv) / det)
+    alpha_11 = uu - pump.waist_y**2 / 2.0
+    alpha_22 = vv - 2.0 * gamma * half_l**2
+    return log_pref - ww, -(pump.waist_x**2 / 2.0), alpha_11, 2.0 * uv, alpha_22
 
 
 def _log_intensity(coefficients, d0, d1, dk):
