@@ -288,7 +288,8 @@ def summarize(dist: JointDistribution) -> CorrelationSummary:
         raise DegenerateDistributionError(
             "zero variance along a scan axis; correlation is undefined"
         )
-    pearson = cov_ab / math.sqrt(var_a * var_b)
+    # two roots: the product var_a * var_b underflows to 0 for variances of 8e-250
+    pearson = cov_ab / (math.sqrt(var_a) * math.sqrt(var_b))
     # orientation of the major covariance eigenvector; atan2 keeps it in (-pi/2, pi/2]
     angle = 0.5 * math.atan2(2.0 * cov_ab, var_a - var_b)
     peak_cells = dist.values >= (1.0 - 1e-12) * dist.values.max()  # first in C order

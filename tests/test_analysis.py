@@ -265,6 +265,15 @@ def test_support_on_one_line_is_degenerate_for_any_weights(line, seed):
         summarize(synthetic_distribution(grid, u, u))
 
 
+def test_pearson_survives_variances_whose_product_underflows():
+    # var_a = var_b = 8e-250, so var_a * var_b underflows to 0
+    grid = np.full((2, 2), 1e-250)
+    grid[0, 0] += 1.0
+    u = np.array([-1.0, 1.0])
+    summary = summarize(synthetic_distribution(grid, u, u))
+    assert summary.pearson == pytest.approx(0.5, rel=1e-12)
+
+
 def reference_summarize(dist):
     """Second moments summed over the whole normalized grid, cell by cell.
 
