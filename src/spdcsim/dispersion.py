@@ -2,7 +2,9 @@
 
 Provides the ordinary and angle-dependent extraordinary index, the
 Poynting-vector walk-off angle and the inverse group velocity, all from a
-Sellmeier coefficient set loaded from a versioned material data file.
+Sellmeier coefficient set loaded from a versioned material data file. Each
+Sellmeier formula comes with its exact derivative, so the group velocity
+needs no finite difference.
 Wavelengths at the API are in meters; the coefficient formulas use
 micrometers internally, which is how the data files are written.
 """
@@ -18,9 +20,6 @@ import yaml
 
 C_LIGHT = 299792458.0  # m/s
 
-# Relative frequency step for internal finite-difference derivatives.
-DERIVATIVE_STEP = 1e-6
-
 # libyaml's safe loader where PyYAML was built with it, the pure-Python one
 # otherwise; both build the same values from the shipped config and data files
 YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
@@ -34,9 +33,14 @@ class MaterialFileError(ValueError):
     """Material data file is missing, malformed or inconsistent."""
 
 
-# formula_id -> (coefficient count, n^2 as a function of coeffs and lambda^2 in um^2)
+# formula_id -> (coefficient count, n^2 and d(n^2)/d(lambda^2) as functions
+# of coeffs and lambda^2 in um^2)
 _FORMULAS = {
-    "sqrt-abcd": (4, lambda c, l2: c[0] + c[1] / (l2 - c[2]) - c[3] * l2),
+    "sqrt-abcd": (
+        4,
+        lambda c, l2: c[0] + c[1] / (l2 - c[2]) - c[3] * l2,
+        lambda c, l2: -c[1] / (l2 - c[2]) ** 2 - c[3],
+    ),
 }
 
 _REQUIRED_KEYS = {
@@ -79,7 +83,8 @@ class SellmeierModel:
         if not (0.0 < lo < hi):
             raise MaterialFileError(f"invalid valid_range_um {self.valid_range_um}")
 
-    def _index(self, coeffs, wavelength: float) -> float:
+    def _index_and_slope(self, coeffs, wavelength: float) -> tuple[float, float]:
+        """n and its log-slope (lambda / n) dn/dlambda = lambda^2 d(n^2)/d(lambda^2) / n^2."""
         lam_um = wavelength * 1e6
         lo, hi = self.valid_range_um
         if not (lo <= lam_um <= hi):
@@ -87,19 +92,21 @@ class SellmeierModel:
                 f"wavelength {lam_um:.4f} um outside valid range "
                 f"[{lo}, {hi}] um of material {self.name!r}"
             )
-        n_sq = _FORMULAS[self.formula_id][1](coeffs, lam_um**2)
+        _, index_sq, index_sq_slope = _FORMULAS[self.formula_id]
+        lam_sq = lam_um**2
+        n_sq = index_sq(coeffs, lam_sq)
         if not (n_sq > 1.0 and math.isfinite(n_sq)):
             raise MaterialFileError(
                 f"material {self.name!r} gives non-physical n^2 = {n_sq} "
                 f"at {lam_um:.4f} um"
             )
-        return math.sqrt(n_sq)
+        return math.sqrt(n_sq), lam_sq * index_sq_slope(coeffs, lam_sq) / n_sq
 
     def ordinary(self, wavelength: float) -> float:
-        return self._index(self.ordinary_coeffs, wavelength)
+        return self._index_and_slope(self.ordinary_coeffs, wavelength)[0]
 
     def principal_extraordinary(self, wavelength: float) -> float:
-        return self._index(self.extraordinary_coeffs, wavelength)
+        return self._index_and_slope(self.extraordinary_coeffs, wavelength)[0]
 
 
 @dataclass(frozen=True)
@@ -199,31 +206,28 @@ def walkoff_angle(crystal: UniaxialCrystal, wavelength: float, theta: float) -> 
 
 
 def group_slowness(crystal: UniaxialCrystal, wavelength: float, polarization: str) -> float:
-    """Inverse group velocity N = (n + omega dn/domega) / c in s/m.
+    """Inverse group velocity N = (n - lambda dn/dlambda) / c in s/m.
 
     ``polarization`` is ``"ordinary"`` or ``"extraordinary"``; the
-    extraordinary wave is evaluated at the fixed crystal cut angle. The
-    frequency derivative uses a central difference with relative step 1e-6,
-    so the wavelength must sit far enough inside the valid range for the
-    stencil; a constant-index material returns exactly n/c.
+    extraordinary wave is evaluated at the fixed crystal cut angle theta.
+    The derivative is exact: each Sellmeier formula gives d(n^2)/d(lambda^2)
+    beside n^2, and 1/n^2 = cos^2(theta)/n_o^2 + sin^2(theta)/n_e^2 gives
+    dn/dlambda = n^3 (cos^2(theta) n_o'/n_o^3 + sin^2(theta) n_e'/n_e^3).
+    Every wavelength of the valid range works, its edges included; a
+    constant-index material returns exactly n/c.
     """
-    if polarization == "ordinary":
-        index = crystal.sellmeier.ordinary
-    elif polarization == "extraordinary":
-        index = lambda lam: index_extraordinary(crystal, lam, crystal.cut_angle)
-    else:
+    if polarization not in ("ordinary", "extraordinary"):
         raise ValueError(
             f"polarization must be 'ordinary' or 'extraordinary', got {polarization!r}"
         )
-    omega0 = 2.0 * math.pi * C_LIGHT / wavelength
-    d_omega = DERIVATIVE_STEP * omega0
-    try:
-        n_plus = index(2.0 * math.pi * C_LIGHT / (omega0 + d_omega))
-        n_minus = index(2.0 * math.pi * C_LIGHT / (omega0 - d_omega))
-    except WavelengthRangeError as exc:
-        raise WavelengthRangeError(
-            f"wavelength {wavelength * 1e6:.4f} um too close to the valid-range "
-            f"edge for the group-velocity stencil: {exc}"
-        ) from exc
-    dn_domega = (n_plus - n_minus) / (2.0 * d_omega)
-    return (index(wavelength) + omega0 * dn_domega) / C_LIGHT
+    sellmeier = crystal.sellmeier
+    n, slope = sellmeier._index_and_slope(sellmeier.ordinary_coeffs, wavelength)
+    if polarization == "extraordinary":
+        n_o, slope_o = n, slope
+        n_e, slope_e = sellmeier._index_and_slope(sellmeier.extraordinary_coeffs, wavelength)
+        n = index_extraordinary(crystal, wavelength, crystal.cut_angle)
+        slope = n**2 * (
+            math.cos(crystal.cut_angle) ** 2 * slope_o / n_o**2
+            + math.sin(crystal.cut_angle) ** 2 * slope_e / n_e**2
+        )
+    return n * (1.0 - slope) / C_LIGHT
