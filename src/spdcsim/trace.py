@@ -424,11 +424,11 @@ def _trace_exact_sinc(q_A, q_B, system, assignment):
     C = -(L/2)^2 ak^T M^-1 ak / 2, with M, b and ak on the pump's support
     (``_on_support``).
     """
-    geom = system.geometry
+    geom, pump = system.geometry, system.pump
     form, ak, dk = _quadratic_form(
-        q_A, q_B, assignment, geom, system.pump, system.filter_e, system.filter_o, 0.0
+        q_A, q_B, assignment, geom, pump, system.filter_e, system.filter_o, 0.0
     )
-    inverse, det, linear, ak = _on_support(system.pump, form.matrix, form.linear, ak)
+    inverse, det, linear, ak = _on_support(pump, form.matrix, form.linear, ak)
     base = _gaussian_integral(inverse, det, linear, form.constant)
     m_inv_ak = inverse @ ak
     half_l = geom.crystal_length / 2.0
