@@ -36,7 +36,6 @@ from .kernel import (
     spectral_envelope,
 )
 from .trace import (
-    ComplexQuadraticForm,
     DetectionAssignment,
     DivergingIntegralError,
     FourierPlaneMap,
@@ -44,9 +43,7 @@ from .trace import (
     QuadratureAccuracyWarning,
     SpectralFilter,
     biphoton_intensity,
-    build_quadratic_form,
     coincidence_rate,
-    integrate_gaussian,
     integrate_quadrature,
     pinhole_smooth,
     spatial_biphoton,

@@ -87,9 +87,11 @@ class SellmeierModel:
         """n and its log-slope (lambda / n) dn/dlambda = lambda^2 d(n^2)/d(lambda^2) / n^2."""
         lam_um = wavelength * 1e6
         lo, hi = self.valid_range_um
-        if not (lo <= lam_um <= hi):
+        # a few ulp of slack at each edge: an edge written in metres comes back
+        # rounded, as 0.22 * 1e-6 m does to 0.21999999999999997 um
+        if not (lo - 4.0 * math.ulp(lo) <= lam_um <= hi + 4.0 * math.ulp(hi)):
             raise WavelengthRangeError(
-                f"wavelength {lam_um:.4f} um outside valid range "
+                f"wavelength {lam_um!r} um outside valid range "
                 f"[{lo}, {hi}] um of material {self.name!r}"
             )
         _, index_sq, index_sq_slope = _FORMULAS[self.formula_id]

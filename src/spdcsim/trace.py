@@ -2,24 +2,25 @@
 
 The joint spatial amplitude at a detector-momentum pair is the double
 integral of the mode function against the two filter amplitudes over the
-frequency detunings. For the Gaussian-approximated mode the integrand is
-exp(-1/2 w^T M w + b^T w + c) over w = (omega_e, omega_o) and the integral
-has a closed form. The exact-sinc mode writes its phase-matching factor as
-an average over crystal depth, exp(i x) sinc x = (1/2) integral of
-exp(i x (1 + s)) over s in [-1, 1] with x = dk L/2, so at each depth the
-integrand is again a complex Gaussian; its trace is that closed form
-summed over Gauss-Legendre depth nodes. A trapezoid quadrature over the
-detunings covers either mode and serves as the independent oracle. A CW
-(monochromatic) pump pins omega_o = -omega_e and reduces the trace to one
-dimension. ``_on_support`` alone restricts M and the linear terms to the
-pump's support, and one k-dimensional closed form (``_gaussian_integral``,
-k = 1 or 2) serves both pumps. Re(M) positive definite is the one
-divergence rule. Scans need only the rate |A|^2: in the Gaussian mode its
-log is a real quadratic in the three phase mismatches
-(``_log_intensity_quadratic``), which ``biphoton_intensity`` evaluates as
-one real exponential per point, never forming A. Scans and their auto
-windows read the same quadratic in the scan momenta
-(``analysis._log_intensity_model``).
+frequency detunings omega = (omega_e, omega_o). For the Gaussian-approximated
+mode the integrand is exp(-1/2 omega^T M omega + b^T omega + c). M is real
+and holds no detector momentum; the linear term is b = d1 u + dk v + i w,
+with constant rows u, v and w and d the phase mismatches at zero detuning.
+So every closed form reads one reduction, the 3x3 Gram matrix of u, v and w
+in M^-1 (``_trace_gram``). A CW (monochromatic) pump pins
+omega_o = -omega_e and reduces the trace to one dimension; ``_on_support``
+alone restricts M and the rows to the pump's support, and M positive
+definite is the one divergence rule. The rate log|A|^2 is a real quadratic
+in the three mismatches (``_log_intensity_quadratic``): ``biphoton_intensity``
+evaluates it as one real exponential per point, and scans and their auto
+windows read it in the scan momenta (``analysis._log_intensity_model``).
+The amplitude adds the phase d1 G_uw + dk (G_vw + L/2). The exact-sinc mode
+writes its phase-matching factor as an average over crystal depth,
+exp(i x) sinc x = (1/2) integral of exp(i x (1 + s)) over s in [-1, 1] with
+x = dk L/2, so at each depth the integrand is again a complex Gaussian and
+its trace is the gamma = 0 closed form times a Gauss-Legendre sum over
+depth nodes. A trapezoid quadrature over the detunings covers either mode
+and serves as the independent oracle.
 """
 
 from __future__ import annotations
@@ -61,7 +62,7 @@ DEPTH_NODES = 24
 
 
 class DivergingIntegralError(ValueError):
-    """The Gaussian frequency integral diverges (Re(M) not positive definite)."""
+    """The Gaussian frequency integral diverges (M not positive definite)."""
 
 
 class QuadratureAccuracyWarning(UserWarning):
@@ -162,46 +163,11 @@ class OpticalSystem:
         return replace(self, pump=replace(self.pump, waist_x=waist, waist_y=waist))
 
 
-@dataclass(frozen=True)
-class ComplexQuadraticForm:
-    """Integrand exp(-1/2 w^T M w + b^T w + c) over w = (omega_e, omega_o).
-
-    ``matrix`` is a single complex symmetric 2x2; ``linear`` and ``constant``
-    may carry leading batch axes so one form describes a whole scan grid.
-    """
-
-    matrix: np.ndarray  # (2, 2) complex
-    linear: np.ndarray  # (..., 2) complex
-    constant: np.ndarray  # (...) complex
-
-    def __post_init__(self):
-        m = np.asarray(self.matrix)
-        if m.shape != (2, 2):
-            raise ValueError(f"matrix must be 2x2, got shape {m.shape}")
-        if not np.allclose(m, m.T, rtol=1e-12, atol=0.0):
-            raise ValueError("matrix must be symmetric")
-        if np.shape(self.linear)[-1:] != (2,):
-            raise ValueError("linear term must have trailing dimension 2")
-
-    def evaluate(self, omega_e, omega_o):
-        """Integrand value at a detuning point; broadcasts over batch axes."""
-        w0 = np.asarray(omega_e)
-        w1 = np.asarray(omega_o)
-        m = self.matrix
-        quad = (
-            m[0, 0] * w0**2 + m[1, 1] * w1**2 + (m[0, 1] + m[1, 0]) * w0 * w1
-        )
-        lin = self.linear[..., 0] * w0 + self.linear[..., 1] * w1
-        return np.exp(-0.5 * quad + lin + self.constant)
-
-    def require_convergent(self) -> None:
-        _require_positive_definite(np.real(self.matrix))
-
-
-def _require_positive_definite(re_m) -> None:
-    if not (re_m[0, 0] > 0.0 and re_m[0, 0] * re_m[1, 1] - re_m[0, 1] * re_m[1, 0] > 0.0):
+def _require_positive_definite(matrix) -> None:
+    m = matrix
+    if not (m[0, 0] > 0.0 and m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0] > 0.0):
         raise DivergingIntegralError(
-            "Re(M) is not positive definite; the frequency integral diverges "
+            "M is not positive definite; the frequency integral diverges "
             "(check filter and pump spectral parameters)"
         )
 
@@ -213,34 +179,16 @@ def resolve_pair(q_A, q_B, assignment: DetectionAssignment):
     return q_B, q_A
 
 
-def build_quadratic_form(
-    q_A: TransverseWavevector,
-    q_B: TransverseWavevector,
-    assignment: DetectionAssignment,
-    geom: SpdcGeometry,
-    pump: PumpEnvelope,
-    filter_e: SpectralFilter,
-    filter_o: SpectralFilter,
-) -> ComplexQuadraticForm:
-    """Assemble f_e f_o times the Gaussian-approximated mode as a quadratic form.
-
-    The form reproduces the integrand pointwise (see ``evaluate``); batched
-    detector momenta produce batched linear/constant terms while the matrix,
-    which holds no momentum dependence, stays a single 2x2.
-    """
-    form, _, _ = _quadratic_form(
-        q_A, q_B, assignment, geom, pump, filter_e, filter_o, SINC_GAUSSIAN_GAMMA
-    )
-    return form
-
-
-def _form_constants(geom, pump, filter_e, filter_o, gamma):
+def _form_constants(system, gamma):
     """Detuning coefficients a1 of d1 and ak of dk, and the real 2x2 matrix M.
 
     M holds the filters, the pump's y waist along a1, the acceptance
     exp(-gamma x^2), x = dk L/2, along ak and a pulsed pump's spectrum; no
-    term depends on the detector momenta.
+    term depends on the detector momenta. Raises DivergingIntegralError
+    unless M is positive definite.
     """
+    geom, pump = system.geometry, system.pump
+    filter_e, filter_o = system.filter_e, system.filter_o
     sin_e = math.sin(geom.emission_angle_e)
     sin_o = math.sin(geom.emission_angle_o)
     cos_e = math.cos(geom.emission_angle_e)
@@ -263,6 +211,7 @@ def _form_constants(geom, pump, filter_e, filter_o, gamma):
     )
     if pump.spectral_mode == SPECTRAL_GAUSSIAN:
         matrix += np.ones((2, 2)) / (2.0 * pump.spectral_sigma**2)
+    _require_positive_definite(matrix)
     return a1, ak, matrix
 
 
@@ -275,32 +224,23 @@ def _mismatches(q_A, q_B, assignment, geom):
     return d0, d1, dk
 
 
-def _quadratic_form(q_A, q_B, assignment, geom, pump, filter_e, filter_o, gamma):
-    """The form with acceptance exp(-gamma x^2) exp(i x), x = dk L/2, and dk's parts.
+def _window_form(q_A, q_B, system, assignment):
+    """M and the linear term b of the Gaussian-mode integrand, per point.
 
-    Returns the form, the detuning coefficients ak of dk and dk at zero
-    detuning; gamma = 0 leaves only the phase exp(i x) of the acceptance.
+    The trapezoid oracle takes the centre, width and phase rate of each
+    window from them; b has the momenta's broadcast shape plus a trailing
+    axis of 2.
     """
-    a1, ak, matrix = _form_constants(geom, pump, filter_e, filter_o, gamma)
-    d0, d1, dk = _mismatches(q_A, q_B, assignment, geom)
+    geom, pump, gamma = system.geometry, system.pump, SINC_GAUSSIAN_GAMMA
+    a1, ak, matrix = _form_constants(system, gamma)
+    _, d1, dk = _mismatches(q_A, q_B, assignment, geom)
     half_l = geom.crystal_length / 2.0
-
     linear = (
         -(pump.waist_y**2 / 2.0) * d1[..., np.newaxis] * a1
         - 2.0 * gamma * half_l**2 * dk[..., np.newaxis] * ak
         + 1j * half_l * ak
     )
-    constant = (
-        -(pump.waist_x**2 / 4.0) * d0**2
-        - (pump.waist_y**2 / 4.0) * d1**2
-        - gamma * (half_l * dk) ** 2
-        + 1j * half_l * dk
-    )
-    form = ComplexQuadraticForm(
-        matrix=matrix.astype(complex), linear=linear, constant=constant
-    )
-    form.require_convergent()
-    return form, ak, dk
+    return matrix, linear
 
 
 def _on_support(pump, matrix, *vectors):
@@ -310,8 +250,8 @@ def _on_support(pump, matrix, *vectors):
     are those of the 2x2 M and each (..., 2) vector comes back unchanged. A
     CW pump pins omega_o = -omega_e, so along l = (1, -1) M is the 1x1
     m_line = l^T M l, its inverse 1/m_line, and each vector v is
-    v_e - v_o, of shape (..., 1). A positive definite Re(M) makes
-    Re(m_line) positive, so the restriction checks nothing.
+    v_e - v_o, of shape (..., 1). A positive definite M makes m_line
+    positive, so the restriction checks nothing.
     """
     if pump.spectral_mode == SPECTRAL_MONOCHROMATIC:
         m_line = matrix[0, 0] - matrix[0, 1] - matrix[1, 0] + matrix[1, 1]
@@ -322,22 +262,46 @@ def _on_support(pump, matrix, *vectors):
     return (np.linalg.inv(matrix), np.linalg.det(matrix), *vectors)
 
 
-def _gaussian_integral(inverse, det, linear, constant):
-    """(2 pi)^(k/2) / sqrt(det M) exp(b^T M^-1 b / 2 + c) over k = 1 or 2 detunings.
+def _trace_gram(system, gamma):
+    """The one reduction behind every closed form: log|A|^2 and the Gram matrix.
 
-    Every eigenvalue of M has a positive real part when Re(M) is positive
-    definite, so det M, their product, stays off the negative real axis and
-    its principal square root is the branch continuous from the real limit.
+    With acceptance exp(-gamma x^2) exp(i x), x = dk L/2, the integrand's
+    linear term is b = d1 u + dk v + i w with rows u = -(w_y^2 / 2) a1,
+    v = -2 gamma (L/2)^2 ak and w = (L/2) ak, and its constant is
+    c = -(w_x^2 d0^2 + w_y^2 d1^2) / 4 - gamma (L/2)^2 dk^2 + i (L/2) dk.
+    The closed form A = pref exp(b^T M^-1 b / 2 + c) then needs only
+    |pref|^2 = (2 pi)^k / det M and the 3x3 Gram matrix G of u, v and w in
+    M^-1, both on the pump's support (``_on_support``). Returns G, as nested
+    lists of floats, and the coefficients of log|A|^2 (see
+    ``_log_intensity_quadratic``): kappa = log|pref|^2 - G_ww,
+    alpha_00 = -w_x^2 / 2, alpha_11 = G_uu - w_y^2 / 2, alpha_12 = 2 G_uv and
+    alpha_22 = G_vv - 2 gamma (L/2)^2.
     """
-    quad = np.einsum("...i,ij,...j->...", linear, inverse, linear)
-    return (2.0 * np.pi) ** (len(inverse) / 2) / np.sqrt(det) * np.exp(0.5 * quad + constant)
+    geom, pump = system.geometry, system.pump
+    a1, ak, matrix = _form_constants(system, gamma)
+    half_l = geom.crystal_length / 2.0
+    rows = np.array([-(pump.waist_y**2 / 2.0) * a1, -2.0 * gamma * half_l**2 * ak, half_l * ak])
+    m_inv, det, rows = _on_support(pump, matrix, rows)
+    # Python floats, not numpy scalars, so numpy can reuse N^2 temporaries in place
+    gram = (rows @ m_inv @ rows.T).tolist()
+    (uu, uv, _), (_, vv, _), (_, _, ww) = gram
+    log_pref = math.log((2.0 * math.pi) ** len(m_inv) / det)
+    alpha_11 = uu - pump.waist_y**2 / 2.0
+    alpha_22 = vv - 2.0 * gamma * half_l**2
+    return (log_pref - ww, -(pump.waist_x**2 / 2.0), alpha_11, 2.0 * uv, alpha_22), gram
 
 
-def integrate_gaussian(form: ComplexQuadraticForm):
-    """Closed form of the full 2-D integral: (2 pi / sqrt(det M)) exp(b^T M^-1 b / 2 + c)."""
-    form.require_convergent()
-    m = form.matrix
-    return _gaussian_integral(np.linalg.inv(m), np.linalg.det(m), form.linear, form.constant)
+def _gaussian_amplitude(q_A, q_B, system, assignment, gamma):
+    """The closed form A at acceptance exp(-gamma x^2) exp(i x), its phase and G_ww.
+
+    pref is real and positive, and the imaginary part of b^T M^-1 b / 2 + c
+    is d1 G_uw + dk G_vw + (L/2) dk, so A = exp(log|A|^2 / 2 + i phase) with
+    phase = d1 G_uw + dk (G_vw + L/2) (``_trace_gram``).
+    """
+    coefficients, ((_, _, uw), (_, _, vw), (_, _, ww)) = _trace_gram(system, gamma)
+    d0, d1, dk = _mismatches(q_A, q_B, assignment, system.geometry)
+    phase = d1 * uw + dk * (vw + system.geometry.crystal_length / 2.0)
+    return np.exp(0.5 * _log_intensity(coefficients, d0, d1, dk) + 1j * phase), phase, ww
 
 
 @functools.lru_cache(maxsize=16)
@@ -418,23 +382,13 @@ def _trace_exact_sinc(q_A, q_B, system, assignment):
 
     With x = dk L/2, exp(i x) sinc x = (1/2) integral of exp(i x (1 + s)) over
     s in [-1, 1]. At depth node s the frequency integrand is the gamma = 0
-    complex Gaussian with i s (L/2) ak added to its linear term and
-    i s (L/2) dk0 to its constant, so its closed form is the s = 0 value
-    times exp(B s + C s^2): B = i (L/2) (ak^T M^-1 b + dk0) per point and
-    C = -(L/2)^2 ak^T M^-1 ak / 2, with M, b and ak on the pump's support
-    (``_on_support``).
+    Gaussian with i s w added to its linear term and i s (L/2) dk to its
+    constant, where w = (L/2) ak and v = 0. So its closed form is the s = 0
+    amplitude times exp(B s + C s^2), with B = i phase - G_ww per point and
+    C = -G_ww / 2 (``_gaussian_amplitude``).
     """
-    geom, pump = system.geometry, system.pump
-    form, ak, dk = _quadratic_form(
-        q_A, q_B, assignment, geom, pump, system.filter_e, system.filter_o, 0.0
-    )
-    inverse, det, linear, ak = _on_support(pump, form.matrix, form.linear, ak)
-    base = _gaussian_integral(inverse, det, linear, form.constant)
-    m_inv_ak = inverse @ ak
-    half_l = geom.crystal_length / 2.0
-    slope = 1j * half_l * (linear @ m_inv_ak + dk)
-    curvature = complex(-0.5 * half_l**2 * (ak @ m_inv_ak))
-    return base * depth_average(slope, curvature, np.abs(base))
+    base, phase, ww = _gaussian_amplitude(q_A, q_B, system, assignment, 0.0)
+    return base * depth_average(1j * phase - ww, -0.5 * ww, np.abs(base))
 
 
 def _node_count(span, feature_scale, phase_rate, floor: int):
@@ -455,18 +409,18 @@ def _node_count(span, feature_scale, phase_rate, floor: int):
 QUADRATURE_CHUNK_CELLS = 4096
 
 
-def _trace_monochromatic(q_e, q_o, form, system, nodes):
+def _trace_monochromatic(q_e, q_o, matrix, linear, system, nodes):
     """Fine, coarse and |integrand| integrals along omega_o = -omega_e, per point.
 
-    Each point's window and node count n come from its quadratic form. Points
+    Each point's window and node count n come from M and its b. Points
     are grouped by n and evaluated in chunks of QUADRATURE_CHUNK_CELLS on 2n-1
     fine nodes; the even nodes equal np.linspace(lo, hi, n) bit for bit, so
     they carry the step-doubled coarse rule without a second evaluation.
     """
     geom, pump = system.geometry, system.pump
     filter_e, filter_o = system.filter_e, system.filter_o
-    _, m_line, b_line = _on_support(pump, form.matrix, form.linear)
-    m_line = float(np.real(m_line))
+    _, m_line, b_line = _on_support(pump, matrix, linear)
+    m_line = float(m_line)
     b_line = b_line.reshape(-1)
     center = b_line.real / m_line
     product_sigma = 1.0 / math.sqrt(m_line)
@@ -481,7 +435,7 @@ def _trace_monochromatic(q_e, q_o, form, system, nodes):
         _node_count(hi - lo, product_sigma, np.abs(b_line.imag), nodes), lo.shape
     )
 
-    shape = np.shape(form.constant)
+    shape = linear.shape[:-1]
     q_e_x, q_e_y, q_o_x, q_o_y = (
         np.broadcast_to(component, shape).reshape(-1, 1)
         for component in (q_e.qx, q_e.qy, q_o.qx, q_o.qy)
@@ -527,9 +481,8 @@ def _trace_gaussian_pump(q_e, q_o, matrix, linear, system, nodes):
     """
     geom, pump = system.geometry, system.pump
     filter_e, filter_o = system.filter_e, system.filter_o
-    re_m = np.real(matrix)
-    center = np.linalg.solve(re_m, np.real(linear))
-    sigma_product = np.sqrt(np.diag(np.linalg.inv(re_m)))
+    center = np.linalg.solve(matrix, np.real(linear))
+    sigma_product = np.sqrt(np.diag(np.linalg.inv(matrix)))
     filter_sigmas = np.array(
         [math.sqrt(2.0) * filter_e.sigma, math.sqrt(2.0) * filter_o.sigma]
     )
@@ -594,14 +547,13 @@ def integrate_quadrature(
     one point at a time.
     """
     q_e, q_o = resolve_pair(q_A, q_B, assignment)
-    form = build_quadratic_form(
-        q_A, q_B, assignment, system.geometry, system.pump,
-        system.filter_e, system.filter_o,
-    )
-    shape = np.shape(form.constant)
+    matrix, linear = _window_form(q_A, q_B, system, assignment)
+    shape = linear.shape[:-1]
 
     if system.pump.spectral_mode == SPECTRAL_MONOCHROMATIC:
-        fine, coarse, magnitude = _trace_monochromatic(q_e, q_o, form, system, nodes)
+        fine, coarse, magnitude = _trace_monochromatic(
+            q_e, q_o, matrix, linear, system, nodes
+        )
     else:
         fine = np.empty(shape, dtype=complex)
         coarse = np.empty(shape, dtype=complex)
@@ -612,8 +564,8 @@ def integrate_quadrature(
             fine[index], coarse[index], magnitude[index] = _trace_gaussian_pump(
                 TransverseWavevector(qx=qex, qy=qey),
                 TransverseWavevector(qx=qox, qy=qoy),
-                form.matrix,
-                form.linear[index],
+                matrix,
+                linear[index],
                 system,
                 nodes,
             )
@@ -635,20 +587,17 @@ def spatial_biphoton(
 
     ``method`` is ``"closed_form"`` (the default, for either mode) or
     ``"quadrature"``, one batched ``integrate_quadrature`` call that serves
-    as the independent oracle; both broadcast over momentum arrays. The
-    Gaussian mode's closed form is exact. The exact-sinc mode's is the
+    as the independent oracle; both broadcast over momentum arrays. Both
+    closed forms read one Gram matrix of the integrand's linear term
+    (``_trace_gram``). The Gaussian mode's is exact,
+    exp(log|A|^2 / 2 + i phase) per point. The exact-sinc mode's is the
     crystal-depth average of ``_trace_exact_sinc``, whose Gauss-Legendre sum
     is checked against half its nodes (see ``depth_average``).
     """
     if method == "closed_form":
         if system.mode != MODE_GAUSSIAN_APPROX:
             return _trace_exact_sinc(q_A, q_B, system, assignment)
-        form = build_quadratic_form(
-            q_A, q_B, assignment, system.geometry, system.pump,
-            system.filter_e, system.filter_o,
-        )
-        inverse, det, linear = _on_support(system.pump, form.matrix, form.linear)
-        return _gaussian_integral(inverse, det, linear, form.constant)
+        return _gaussian_amplitude(q_A, q_B, system, assignment, SINC_GAUSSIAN_GAMMA)[0]
     if method == "quadrature":
         return integrate_quadrature(q_A, q_B, system, assignment)
     raise ValueError(f"method must be 'closed_form' or 'quadrature', got {method!r}")
@@ -659,24 +608,11 @@ def _log_intensity_quadratic(system: OpticalSystem):
 
     Returns kappa, alpha_00, alpha_11, alpha_12 and alpha_22 of log|A|^2 =
     alpha_00 d0^2 + alpha_11 d1^2 + alpha_12 d1 dk + alpha_22 dk^2 + kappa,
-    d the mismatches at zero detuning. A = pref exp(z) has the linear term
-    b = d1 u + dk v + i w with constant 2-vectors u, v and w, so all come
-    from one Gram matrix of u, v and w in M^-1 on the pump's support
-    (``_on_support``) and from |pref|^2 = (2 pi)^k / det M.
+    d the mismatches at zero detuning. They are read off the Gram matrix of
+    the rows u, v and w of the linear term b = d1 u + dk v + i w
+    (``_trace_gram``).
     """
-    geom, pump, gamma = system.geometry, system.pump, SINC_GAUSSIAN_GAMMA
-    a1, ak, matrix = _form_constants(geom, pump, system.filter_e, system.filter_o, gamma)
-    _require_positive_definite(matrix)
-    half_l = geom.crystal_length / 2.0
-    # rows u, v and w of the linear term b = d1 u + dk v + i w
-    rows = np.array([-(pump.waist_y**2 / 2.0) * a1, -2.0 * gamma * half_l**2 * ak, half_l * ak])
-    m_inv, det, rows = _on_support(pump, matrix, rows)
-    # Python floats, not numpy scalars, so numpy can reuse N^2 temporaries in place
-    (uu, uv, _), (_, vv, _), (_, _, ww) = (rows @ m_inv @ rows.T).tolist()
-    log_pref = math.log((2.0 * math.pi) ** len(m_inv) / det)
-    alpha_11 = uu - pump.waist_y**2 / 2.0
-    alpha_22 = vv - 2.0 * gamma * half_l**2
-    return log_pref - ww, -(pump.waist_x**2 / 2.0), alpha_11, 2.0 * uv, alpha_22
+    return _trace_gram(system, SINC_GAUSSIAN_GAMMA)[0]
 
 
 def _log_intensity(coefficients, d0, d1, dk):

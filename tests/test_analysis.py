@@ -225,14 +225,19 @@ def test_pearson_bounded_on_random_grids():
         assert -math.pi / 2 < summary.principal_angle <= math.pi / 2
 
 
-def test_transpose_maps_pearson_identically_and_reflects_angle():
-    rng = np.random.default_rng(32)
-    u = np.linspace(-2.0, 2.0, 41)
-    grid = rng.uniform(0.0, 1.0, (41, 41))
+@pytest.mark.parametrize("seed", range(10))
+def test_transpose_maps_pearson_within_rounding_and_reflects_angle(seed):
+    # the transposed copy adds the same cells in another order, so the two
+    # Pearson values may differ in the last bits: up to 7.4e-16 relative on
+    # 200 such grids
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(8, 80))
+    u = np.linspace(-2.0, 2.0, n)
+    grid = rng.uniform(0.0, 1.0, (n, n))
     grid += 3.0 * np.exp(-((u[:, None] - 0.6 * u[None, :]) ** 2))
     original = summarize(synthetic_distribution(grid, u, u))
     flipped = summarize(synthetic_distribution(grid.T.copy(), u, u))
-    assert flipped.pearson == original.pearson
+    assert flipped.pearson == pytest.approx(original.pearson, rel=1e-15, abs=0.0)
     reflected = math.pi / 2 - original.principal_angle
     if reflected > math.pi / 2:
         reflected -= math.pi
@@ -416,14 +421,17 @@ def relabel_system(kind, mode):
             config, pump=replace(config.pump, spectral_mode="gaussian", spectral_fwhm_nm=0.5)
         )
     system = resolve(replace(config, mode=mode)).system
-    if kind == "asymmetric":
-        system = replace(
-            system,
-            fourier=replace(system.fourier, wavelength_e=812e-9, wavelength_o=816e-9),
-            filter_e=SpectralFilter.from_fwhm_nm(812.0, 5.0),
-            filter_o=SpectralFilter.from_fwhm_nm(816.0, 3.0),
-        )
-    return system
+    return asymmetric(system) if kind == "asymmetric" else system
+
+
+def asymmetric(system):
+    """The system with unequal e and o wavelengths (812, 816 nm) and filters (5, 3 nm)."""
+    return replace(
+        system,
+        fourier=replace(system.fourier, wavelength_e=812e-9, wavelength_o=816e-9),
+        filter_e=SpectralFilter.from_fwhm_nm(812.0, 5.0),
+        filter_o=SpectralFilter.from_fwhm_nm(816.0, 3.0),
+    )
 
 
 @pytest.mark.parametrize("orthogonal", [0.0, 1e-3])

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -166,6 +167,20 @@ def test_group_slowness_is_finite_at_the_range_edge(bbo, end, polarization):
     value = group_slowness(bbo, lam, polarization)
     assert math.isfinite(value)
     assert value > 1.0 / C_LIGHT
+
+
+@pytest.mark.parametrize("lam", [0.22 * 1e-6, 1.06 * 1e-6], ids=["short", "long"])
+def test_range_edge_passes_however_it_was_rounded(bbo, lam):
+    # 0.22 * 1e-6 m maps back to 0.21999999999999997 um, an ulp below the edge
+    assert math.isfinite(index_ordinary(bbo, lam))
+    assert math.isfinite(index_extraordinary(bbo, lam, bbo.cut_angle))
+
+
+@pytest.mark.parametrize("lam", [0.2199e-6, 0.21999e-6], ids=["0.2199um", "0.21999um"])
+def test_just_outside_the_range_raises_with_the_exact_wavelength(bbo, lam):
+    # four decimals would print 0.21999 um as 0.2200, inside the range
+    with pytest.raises(WavelengthRangeError, match=re.escape(f"wavelength {lam * 1e6!r} um")):
+        index_ordinary(bbo, lam)
 
 
 @pytest.mark.parametrize("lam", [0.2e-6, 1.1e-6])

@@ -11,13 +11,13 @@ from spdcsim.analysis import ScanPlan, _momentum_pair, auto_plan, run_scan
 from spdcsim.dispersion import C_LIGHT
 from spdcsim.kernel import (
     MODE_GAUSSIAN_APPROX,
+    SINC_GAUSSIAN_GAMMA,
     PumpEnvelope,
     SpdcGeometry,
     TransverseWavevector,
     mode_function,
 )
 from spdcsim.trace import (
-    ComplexQuadraticForm,
     DetectionAssignment,
     DivergingIntegralError,
     FourierPlaneMap,
@@ -25,15 +25,13 @@ from spdcsim.trace import (
     QuadratureAccuracyWarning,
     SpectralFilter,
     biphoton_intensity,
-    build_quadratic_form,
     coincidence_rate,
-    integrate_gaussian,
     integrate_quadrature,
     pinhole_smooth,
     spatial_biphoton,
 )
 
-from test_analysis import relabel_system
+from test_analysis import asymmetric, relabel_system
 
 EA = DetectionAssignment.E_AT_A
 OA = DetectionAssignment.O_AT_A
@@ -104,15 +102,31 @@ def test_fourier_map_routes_wavelengths_by_assignment():
 
 # ---------------------------------------------------------------- quadratic form
 
+def gaussian_integrand(q_A, q_B, system, assignment):
+    """exp(-1/2 w^T M w + b^T w + c) at w = (omega_e, omega_o), from the oracle's M and b."""
+    matrix, linear = trace_module._window_form(q_A, q_B, system, assignment)
+    d0, d1, dk = trace_module._mismatches(q_A, q_B, assignment, system.geometry)
+    pump, half_l = system.pump, system.geometry.crystal_length / 2.0
+    constant = (
+        -(pump.waist_x**2 / 4.0) * d0**2
+        - (pump.waist_y**2 / 4.0) * d1**2
+        - SINC_GAUSSIAN_GAMMA * (half_l * dk) ** 2
+        + 1j * half_l * dk
+    )
+
+    def evaluate(omega_e, omega_o):
+        w = np.array([omega_e, omega_o])
+        return np.exp(-0.5 * (w @ matrix @ w) + linear @ w + constant)
+
+    return evaluate
+
+
 def test_form_reproduces_integrand_pointwise(system):
     rng = np.random.default_rng(21)
     for assignment in (EA, OA):
         q_A = qvec(*rng.uniform(-3e4, 3e4, 2))
         q_B = qvec(*rng.uniform(-3e4, 3e4, 2))
-        form = build_quadratic_form(
-            q_A, q_B, assignment, system.geometry, system.pump,
-            system.filter_e, system.filter_o,
-        )
+        integrand = gaussian_integrand(q_A, q_B, system, assignment)
         q_e, q_o = (q_A, q_B) if assignment is EA else (q_B, q_A)
         for _ in range(25):
             oe, oo = rng.uniform(-1.5e13, 1.5e13, 2)
@@ -124,7 +138,7 @@ def test_form_reproduces_integrand_pointwise(system):
                     MODE_GAUSSIAN_APPROX,
                 )
             )
-            value = form.evaluate(oe, oo)
+            value = integrand(oe, oo)
             assert abs(value - direct) <= 1e-12 * abs(direct)
 
 
@@ -133,9 +147,7 @@ def test_form_reproduces_integrand_with_gaussian_pump(gaussian_pump_system):
     rng = np.random.default_rng(22)
     q_A = qvec(qy=1.2e4)
     q_B = qvec(qy=-0.7e4)
-    form = build_quadratic_form(
-        q_A, q_B, EA, system.geometry, system.pump, system.filter_e, system.filter_o
-    )
+    integrand = gaussian_integrand(q_A, q_B, system, EA)
     for _ in range(25):
         oe, oo = rng.uniform(-1.0e13, 1.0e13, 2)
         direct = (
@@ -145,80 +157,31 @@ def test_form_reproduces_integrand_with_gaussian_pump(gaussian_pump_system):
                 q_A, oe, q_B, oo, system.geometry, system.pump, MODE_GAUSSIAN_APPROX
             )
         )
-        assert abs(form.evaluate(oe, oo) - direct) <= 1e-12 * abs(direct)
+        assert abs(integrand(oe, oo) - direct) <= 1e-12 * abs(direct)
 
 
 def test_form_real_linear_term_vanishes_at_zero_momenta(system):
     # at q = 0 the surviving linear term is the purely imaginary phase
     # contribution, so only its real part can be required to vanish
-    form = build_quadratic_form(
-        qvec(), qvec(), EA, system.geometry, system.pump,
-        system.filter_e, system.filter_o,
-    )
-    assert np.allclose(np.real(form.linear), 0.0, atol=1e-30)
-    assert np.all(np.imag(form.linear) != 0.0)
+    _, linear = trace_module._window_form(qvec(), qvec(), system, EA)
+    assert np.allclose(np.real(linear), 0.0, atol=1e-30)
+    assert np.all(np.imag(linear) != 0.0)
 
 
 def test_form_real_part_positive_definite_at_defaults(system):
-    form = build_quadratic_form(
-        qvec(qy=1e4), qvec(qy=1e4), EA, system.geometry, system.pump,
-        system.filter_e, system.filter_o,
-    )
-    eigenvalues = np.linalg.eigvalsh(np.real(form.matrix))
-    assert np.all(eigenvalues > 0.0)
-    re_m = np.real(form.matrix)
-    assert re_m[0, 0] > 0.0 and np.linalg.det(re_m) > 0.0
+    matrix, _ = trace_module._window_form(qvec(qy=1e4), qvec(qy=1e4), system, EA)
+    assert np.all(np.linalg.eigvalsh(matrix) > 0.0)
+    assert matrix[0, 0] > 0.0 and np.linalg.det(matrix) > 0.0
 
 
 def test_form_batched_momenta_share_one_matrix(system):
     qy = np.linspace(-2e4, 2e4, 7)
-    form = build_quadratic_form(
-        qvec(qy=qy), qvec(qy=0.5 * qy), EA, system.geometry, system.pump,
-        system.filter_e, system.filter_o,
-    )
-    assert form.matrix.shape == (2, 2)
-    assert form.linear.shape == (7, 2)
-    assert form.constant.shape == (7,)
+    matrix, linear = trace_module._window_form(qvec(qy=qy), qvec(qy=0.5 * qy), system, EA)
+    assert matrix.shape == (2, 2)
+    assert linear.shape == (7, 2)
 
 
 # ---------------------------------------------------------------- closed forms
-
-def test_separable_integral_value():
-    a = 3.7e-26
-    form = ComplexQuadraticForm(
-        matrix=np.diag([2.0 * a, 2.0 * a]).astype(complex),
-        linear=np.zeros(2, dtype=complex),
-        constant=np.array(0.0, dtype=complex),
-    )
-    assert integrate_gaussian(form) == pytest.approx(math.pi / a, rel=1e-12)
-
-
-def test_integral_scaling_law():
-    rng = np.random.default_rng(23)
-    base = np.array([[4.0, 1.0], [1.0, 3.0]], dtype=complex) * 1e-26
-    form = ComplexQuadraticForm(
-        matrix=base, linear=np.zeros(2, dtype=complex), constant=np.array(0.0, dtype=complex)
-    )
-    for scale in rng.uniform(0.5, 4.0, 5):
-        scaled = ComplexQuadraticForm(
-            matrix=scale * base,
-            linear=np.zeros(2, dtype=complex),
-            constant=np.array(0.0, dtype=complex),
-        )
-        assert integrate_gaussian(scaled) == pytest.approx(
-            integrate_gaussian(form) / scale, rel=1e-12
-        )
-
-
-def test_non_positive_definite_form_raises():
-    form = ComplexQuadraticForm(
-        matrix=np.diag([-1.0, 1.0]).astype(complex),
-        linear=np.zeros(2, dtype=complex),
-        constant=np.array(0.0, dtype=complex),
-    )
-    with pytest.raises(DivergingIntegralError):
-        integrate_gaussian(form)
-
 
 def test_closed_form_matches_quadrature_on_sample_grid(system):
     offsets = np.linspace(-2e4, 2e4, 5)
@@ -335,11 +298,10 @@ def _reference_point(q_A, q_B, system, assignment, nodes, window_sigmas):
     geom, pump, mode = system.geometry, system.pump, system.mode
     filter_e, filter_o = system.filter_e, system.filter_o
     q_e, q_o = (q_A, q_B) if assignment is EA else (q_B, q_A)
-    form = build_quadratic_form(q_A, q_B, assignment, geom, pump, filter_e, filter_o)
+    m, linear = trace_module._window_form(q_A, q_B, system, assignment)
     if pump.spectral_mode == "monochromatic":
-        m = form.matrix
-        m_line = float(np.real(m[0, 0] - m[0, 1] - m[1, 0] + m[1, 1]))
-        b_line = complex(form.linear[0] - form.linear[1])
+        m_line = float(m[0, 0] - m[0, 1] - m[1, 0] + m[1, 1])
+        b_line = complex(linear[0] - linear[1])
         center = b_line.real / m_line
         product_sigma = 1.0 / math.sqrt(m_line)
         pair_sigma = 1.0 / math.sqrt(
@@ -361,13 +323,12 @@ def _reference_point(q_A, q_B, system, assignment, nodes, window_sigmas):
         coarse, _ = evaluate(n)
         fine, magnitude = evaluate(2 * n - 1)
         return fine, _reference_change(fine, coarse, magnitude), n
-    re_m = np.real(form.matrix)
-    center = np.linalg.solve(re_m, np.real(form.linear))
-    sigma_product = np.sqrt(np.diag(np.linalg.inv(re_m)))
+    center = np.linalg.solve(m, np.real(linear))
+    sigma_product = np.sqrt(np.diag(np.linalg.inv(m)))
     filter_sigmas = np.array([math.sqrt(2.0) * filter_e.sigma, math.sqrt(2.0) * filter_o.sigma])
     lo = np.minimum(-window_sigmas * filter_sigmas, center - window_sigmas * sigma_product)
     hi = np.maximum(window_sigmas * filter_sigmas, center + window_sigmas * sigma_product)
-    phase_rates = np.abs(np.imag(form.linear))
+    phase_rates = np.abs(np.imag(linear))
     counts = tuple(
         _reference_node_count(hi[i] - lo[i], sigma_product[i], phase_rates[i], nodes)
         for i in (0, 1)
@@ -565,12 +526,14 @@ def test_depth_average_returns_the_doubled_rule(monkeypatch):
     assert abs(value - np.sinc(20.0 / np.pi)) <= 1e-13
 
 
+@pytest.mark.parametrize("kind", ["symmetric", "asymmetric"])
 @pytest.mark.parametrize("axis", ["y", "x"])
 @pytest.mark.parametrize("assignment", [EA, OA], ids=["ea", "oa"])
-def test_depth_closed_form_matches_fine_trapezoid(sinc_system, axis, assignment):
-    q_A, q_B = scan_momenta(sinc_system, axis, assignment, 16)
-    trapezoid = integrate_quadrature(q_A, q_B, sinc_system, assignment, nodes=402)
-    depth = spatial_biphoton(q_A, q_B, sinc_system, assignment)
+def test_depth_closed_form_matches_fine_trapezoid(sinc_system, axis, assignment, kind):
+    system = sinc_system if kind == "symmetric" else asymmetric(sinc_system)
+    q_A, q_B = scan_momenta(system, axis, assignment, 16)
+    trapezoid = integrate_quadrature(q_A, q_B, system, assignment, nodes=402)
+    depth = spatial_biphoton(q_A, q_B, system, assignment)
     assert np.all(np.abs(depth - trapezoid) <= 1e-8 * np.abs(trapezoid))
 
 
@@ -705,23 +668,33 @@ def test_intensity_of_other_modes_and_methods_is_amplitude_squared(system, mode,
         biphoton_intensity(q_A, q_B, system, EA, method="simpson")
 
 
-@pytest.mark.parametrize(
-    "matrix",
-    [
-        None,
-        np.diag([-1.0, 1.0]) * 1e-26,
-        np.array([[1.0, 2.0], [2.0, 1.0]]) * 1e-26,
-    ],
-    ids=["physical", "negative-entry", "indefinite"],
-)
+def divergent_gamma(system, defect):
+    """An acceptance exp(-gamma x^2), gamma < 0, whose M has the named defect.
+
+    M(gamma) = M(0) + gamma s ak ak^T with s = 2 (L/2)^2, so M_00 vanishes
+    at gamma_00 = -M_00 / (s ak_0^2) and det M at
+    gamma_det = -1 / (s ak^T M(0)^-1 ak), which lies above gamma_00.
+    """
+    geom = system.geometry
+    _, ak, matrix = trace_module._form_constants(system, 0.0)
+    s = 2.0 * (geom.crystal_length / 2.0) ** 2
+    gamma_00 = -matrix[0, 0] / (s * ak[0] ** 2)
+    gamma_det = -1.0 / (s * (ak @ np.linalg.solve(matrix, ak)))
+    gamma = {"negative-entry": 2.0 * gamma_00, "indefinite": 0.5 * (gamma_00 + gamma_det)}[defect]
+    shifted = matrix + gamma * s * np.outer(ak, ak)
+    if defect == "negative-entry":
+        assert shifted[0, 0] < 0.0
+    else:
+        assert shifted[0, 0] > 0.0 and np.linalg.det(shifted) < 0.0
+    return gamma
+
+
+@pytest.mark.parametrize("defect", ["physical", "negative-entry", "indefinite"])
 @pytest.mark.parametrize("kind", ["cw", "pulsed"])
-def test_intensity_diverges_where_the_amplitude_does(monkeypatch, kind, matrix):
+def test_intensity_diverges_where_the_amplitude_does(monkeypatch, kind, defect):
     system = relabel_system(kind, MODE_GAUSSIAN_APPROX)
-    if matrix is not None:
-        constants = trace_module._form_constants
-        monkeypatch.setattr(
-            trace_module, "_form_constants", lambda *args: (*constants(*args)[:2], matrix)
-        )
+    if defect != "physical":
+        monkeypatch.setattr(trace_module, "SINC_GAUSSIAN_GAMMA", divergent_gamma(system, defect))
     q_A, q_B = qvec(qy=np.linspace(-1e4, 1e4, 3)), qvec(qy=2e3)
     outcomes = []
     for rate in (amplitude_squared, biphoton_intensity):
@@ -731,7 +704,7 @@ def test_intensity_diverges_where_the_amplitude_does(monkeypatch, kind, matrix):
         except DivergingIntegralError as exc:
             outcomes.append(type(exc))
     assert outcomes[0] == outcomes[1]
-    assert (outcomes[0] is None) == (matrix is None)
+    assert (outcomes[0] is None) == (defect == "physical")
 
 
 # ---------------------------------------------------------------- pinhole
