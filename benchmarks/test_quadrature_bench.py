@@ -12,8 +12,14 @@ y scan of the default config in exact-sinc mode, with a CW pump or a
   crystal depth. It must match the trapezoid to 1e-8 relative at every
   point of an 8^2 subgrid (every points/8-th row and column).
 - ``batched``: ``spatial_biphoton(..., method="quadrature")``, the batched
-  trapezoid. It must equal the per-point reference bit for bit.
-- ``reference``: the per-point loop kept in ``tests/test_trace.py``.
+  trapezoid, one rule for both pumps on a tensor grid over the pump's
+  frequency support. It must equal the per-point reference bit for bit.
+- ``reference``: the same rule one point at a time, for either pump, as
+  kept in ``tests/test_trace.py``.
+
+To compare two revisions, run the file in a checkout of each, alternating
+between them; on a shared VM, runs made far apart spread more than most
+effects worth reporting.
 
 The trapezoid rows of the 64^2 pulsed grid are left out: one run takes
 about two minutes. This directory sits outside the tier-1 ``testpaths``.

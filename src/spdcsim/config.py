@@ -156,6 +156,10 @@ def validate(config: RunConfig) -> RunConfig:
         _require_positive(p.spectral_fwhm_nm, "pump.spectral_fwhm_nm")
 
     c = config.crystal
+    if not (isinstance(c.material_file, str) and c.material_file):
+        raise ConfigError(
+            f"crystal.material_file must be a non-empty string, got {c.material_file!r}"
+        )
     _require_positive(c.length_mm, "crystal.length_mm")
     if not (_is_finite_number(c.cut_angle_deg) and 0.0 < c.cut_angle_deg < 90.0):
         raise ConfigError(
@@ -163,6 +167,11 @@ def validate(config: RunConfig) -> RunConfig:
         )
 
     g = config.geometry
+    if not isinstance(g.per_polarization_refraction, bool):
+        raise ConfigError(
+            "geometry.per_polarization_refraction must be true or false, "
+            f"got {g.per_polarization_refraction!r}"
+        )
     explicit = g.phi_e_deg is not None or g.phi_o_deg is not None
     if explicit and g.half_open_angle_ext_deg is not None:
         raise ConfigError(

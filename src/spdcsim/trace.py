@@ -19,8 +19,9 @@ writes its phase-matching factor as an average over crystal depth,
 exp(i x) sinc x = (1/2) integral of exp(i x (1 + s)) over s in [-1, 1] with
 x = dk L/2, so at each depth the integrand is again a complex Gaussian and
 its trace is the gamma = 0 closed form times a Gauss-Legendre sum over
-depth nodes. A trapezoid quadrature over the detunings covers either mode
-and serves as the independent oracle.
+depth nodes. A trapezoid quadrature covers either mode and serves as the
+independent oracle: one batched rule for both pumps, on a grid over the
+pump's support that the oracle states for itself (``_SUPPORT_BASIS``).
 """
 
 from __future__ import annotations
@@ -54,7 +55,7 @@ _FWHM_FACTOR = 2.0 * math.sqrt(2.0 * math.log(2.0))
 
 DEFAULT_QUADRATURE_NODES = 201
 # half-width of each trapezoid window, in widths of the Gaussian-approximated form
-QUADRATURE_WINDOW_SIGMAS = 6.0
+QUADRATURE_WINDOW_SIGMAS = 9.0
 QUADRATURE_RTOL = 1e-8
 # Floor on the node count n of the coarse crystal-depth Gauss-Legendre rule;
 # the returned sum uses 2n nodes.
@@ -404,112 +405,28 @@ def _node_count(span, feature_scale, phase_rate, floor: int):
     return n.astype(int)
 
 
-# Integrand cells (points x fine nodes) evaluated at once on the CW path; small
-# chunks keep the temporaries in cache and the peak memory flat.
+# Integrand cells (points x fine nodes) evaluated at once; small chunks keep
+# the temporaries in cache and the peak memory flat.
 QUADRATURE_CHUNK_CELLS = 4096
 
+# Rows B of the oracle's frequency grid: a node t maps to (omega_e, omega_o) =
+# t B. Stated apart from ``_on_support`` so that the oracle checks the support
+# the closed forms integrate over instead of sharing it.
+_SUPPORT_BASIS = {
+    SPECTRAL_MONOCHROMATIC: ((1.0, -1.0),),
+    SPECTRAL_GAUSSIAN: ((1.0, 0.0), (0.0, 1.0)),
+}
 
-def _trace_monochromatic(q_e, q_o, matrix, linear, system, nodes):
-    """Fine, coarse and |integrand| integrals along omega_o = -omega_e, per point.
 
-    Each point's window and node count n come from M and its b. Points
-    are grouped by n and evaluated in chunks of QUADRATURE_CHUNK_CELLS on 2n-1
-    fine nodes; the even nodes equal np.linspace(lo, hi, n) bit for bit, so
-    they carry the step-doubled coarse rule without a second evaluation.
+def _nested_trapezoid(values, axes):
+    """Trapezoid rule over the trailing grid axes of ``values``, the last first.
+
+    ``values`` has shape (points, n_1, ..., n_k) and ``axes[i]`` holds the
+    (points, n_(i+1)) nodes of grid axis i + 1.
     """
-    geom, pump = system.geometry, system.pump
-    filter_e, filter_o = system.filter_e, system.filter_o
-    _, m_line, b_line = _on_support(pump, matrix, linear)
-    m_line = float(m_line)
-    b_line = b_line.reshape(-1)
-    center = b_line.real / m_line
-    product_sigma = 1.0 / math.sqrt(m_line)
-    pair_sigma = 1.0 / math.sqrt(
-        2.0 * (1.0 / (4.0 * filter_e.sigma**2) + 1.0 / (4.0 * filter_o.sigma**2))
-    )
-    half_pair = QUADRATURE_WINDOW_SIGMAS * pair_sigma
-    half_product = QUADRATURE_WINDOW_SIGMAS * product_sigma
-    lo = np.minimum(-half_pair, center - half_product)
-    hi = np.maximum(half_pair, center + half_product)
-    counts = np.broadcast_to(
-        _node_count(hi - lo, product_sigma, np.abs(b_line.imag), nodes), lo.shape
-    )
-
-    shape = linear.shape[:-1]
-    q_e_x, q_e_y, q_o_x, q_o_y = (
-        np.broadcast_to(component, shape).reshape(-1, 1)
-        for component in (q_e.qx, q_e.qy, q_o.qx, q_o.qy)
-    )
-    fine = np.empty(lo.shape, dtype=complex)
-    coarse = np.empty(lo.shape, dtype=complex)
-    magnitude = np.empty(lo.shape)
-    for n in sorted(set(counts.tolist())):
-        group = np.flatnonzero(counts == n)
-        fine_nodes = 2 * n - 1
-        step = max(1, QUADRATURE_CHUNK_CELLS // fine_nodes)
-        for start in range(0, group.size, step):
-            rows = group[start:start + step]
-            # linspace returns the rows F-ordered; in C order numpy's pairwise
-            # sum adds each row as it adds a lone 1-D array, bit for bit
-            omega = np.ascontiguousarray(
-                np.linspace(lo[rows], hi[rows], fine_nodes, axis=-1)
-            )
-            integrand = (
-                filter_e.amplitude(omega)
-                * filter_o.amplitude(-omega)
-                * mode_function(
-                    TransverseWavevector(qx=q_e_x[rows], qy=q_e_y[rows]),
-                    omega,
-                    TransverseWavevector(qx=q_o_x[rows], qy=q_o_y[rows]),
-                    -omega,
-                    geom,
-                    pump,
-                    system.mode,
-                )
-            )
-            fine[rows] = np.trapezoid(integrand, omega, axis=-1)
-            magnitude[rows] = np.trapezoid(np.abs(integrand), omega, axis=-1)
-            coarse[rows] = np.trapezoid(integrand[:, ::2], omega[:, ::2], axis=-1)
-    return fine, coarse, magnitude
-
-
-def _trace_gaussian_pump(q_e, q_o, matrix, linear, system, nodes):
-    """Fine, coarse and |integrand| integrals over the 2-D trace at one point.
-
-    A pulsed pump leaves both detunings free, so one point is already a
-    grid of about 401^2 cells; the coarse rule reads the even fine nodes.
-    """
-    geom, pump = system.geometry, system.pump
-    filter_e, filter_o = system.filter_e, system.filter_o
-    center = np.linalg.solve(matrix, np.real(linear))
-    sigma_product = np.sqrt(np.diag(np.linalg.inv(matrix)))
-    filter_sigmas = np.array(
-        [math.sqrt(2.0) * filter_e.sigma, math.sqrt(2.0) * filter_o.sigma]
-    )
-    half_filter = QUADRATURE_WINDOW_SIGMAS * filter_sigmas
-    half_product = QUADRATURE_WINDOW_SIGMAS * sigma_product
-    lo = np.minimum(-half_filter, center - half_product)
-    hi = np.maximum(half_filter, center + half_product)
-    phase_rates = np.abs(np.imag(linear))
-    counts = [
-        int(_node_count(hi[i] - lo[i], sigma_product[i], phase_rates[i], nodes))
-        for i in (0, 1)
-    ]
-    axes = [np.linspace(lo[i], hi[i], 2 * counts[i] - 1) for i in (0, 1)]
-    o_e, o_o = np.meshgrid(axes[0], axes[1], indexing="ij")
-    integrand = (
-        filter_e.amplitude(o_e)
-        * filter_o.amplitude(o_o)
-        * mode_function(q_e, o_e, q_o, o_o, geom, pump, system.mode)
-    )
-
-    def integrate(values, axis_e, axis_o):
-        return np.trapezoid(np.trapezoid(values, axis_o, axis=1), axis_e)
-
-    fine = integrate(integrand, axes[0], axes[1])
-    magnitude = integrate(np.abs(integrand), axes[0], axes[1])
-    coarse = integrate(integrand[::2, ::2], axes[0][::2], axes[1][::2])
-    return fine, coarse, magnitude
+    for i in reversed(range(len(axes))):
+        values = np.trapezoid(values, axes[i].reshape((len(values),) + (1,) * i + (-1,)), axis=-1)
+    return values
 
 
 def integrate_quadrature(
@@ -527,48 +444,89 @@ def integrate_quadrature(
     oracle for both closed forms. It evaluates the mode function of
     ``system.mode`` and broadcasts over momentum arrays: a scalar pair
     returns a complex scalar, arrays return an array of their broadcast
-    shape. Each point's integration window reaches QUADRATURE_WINDOW_SIGMAS
-    widths of its Gaussian-approximated form (covering both the full filter
-    support and the shifted product Gaussian) and its node count n is
-    raised above ``nodes`` whenever the window demands finer resolution.
-    The integral is taken on 2n-1 nodes per axis; the even nodes give the
-    rule with the step doubled. When ``check_convergence`` is set, one
+    shape. The trace runs over a tensor grid on the pump's support, one
+    axis for a CW pump and two for a pulsed one, mapped to the detunings
+    through ``_SUPPORT_BASIS``. On each axis a point's window reaches
+    QUADRATURE_WINDOW_SIGMAS widths of both the filters alone and the
+    shifted product Gaussian of the Gaussian-approximated form, both taken
+    on the support by ``_on_support``, and its node count n is raised above
+    ``nodes`` whenever the window demands finer resolution. The integral is
+    a nested trapezoid on 2n-1 nodes per axis; the even nodes give the rule
+    with the step doubled. When ``check_convergence`` is set, one
     QuadratureAccuracyWarning per call reports how many points changed by
     more than QUADRATURE_RTOL relative between the two, the worst ratio and
     the largest change relative to the grid peak; degraded accuracy is
-    reported, never raised. The window
-    follows the Gaussian form, not the sinc^2 tails, so at pump waists of
-    hundreds of um the exact-sinc trapezoid under-resolves tail points and
-    warns; the depth closed form does not need a window.
+    reported, never raised. The window follows the Gaussian form, not the
+    sinc^2 tails, so at pump waists of hundreds of um the exact-sinc
+    trapezoid under-resolves tail points and warns (at a 500 um waist, 20
+    of the 36 points of a 6^2 y grid over +-6 mm); the depth closed form
+    does not need a window.
 
-    With a CW pump the points are grouped by node count and integrated in
-    chunks of QUADRATURE_CHUNK_CELLS integrand cells; the result is
-    bit-identical to integrating each point alone. A pulsed pump integrates
-    one point at a time.
+    Points are grouped by their node counts and integrated in chunks of
+    QUADRATURE_CHUNK_CELLS integrand cells; the result is bit-identical to
+    integrating each point alone.
     """
+    geom, pump = system.geometry, system.pump
+    filter_e, filter_o = system.filter_e, system.filter_o
     q_e, q_o = resolve_pair(q_A, q_B, assignment)
     matrix, linear = _window_form(q_A, q_B, system, assignment)
     shape = linear.shape[:-1]
+    m_inv, _, b = _on_support(pump, matrix, linear.reshape(-1, 2))
+    filters = np.diag([1.0 / (2.0 * filter_e.sigma**2), 1.0 / (2.0 * filter_o.sigma**2)])
+    half_filter = QUADRATURE_WINDOW_SIGMAS * np.sqrt(_on_support(pump, filters)[0].diagonal())
+    sigma = np.sqrt(m_inv.diagonal())
+    center = (b.real[:, np.newaxis, :] * m_inv).sum(axis=-1)
+    lo = np.minimum(-half_filter, center - QUADRATURE_WINDOW_SIGMAS * sigma)
+    hi = np.maximum(half_filter, center + QUADRATURE_WINDOW_SIGMAS * sigma)
+    counts = np.broadcast_to(_node_count(hi - lo, sigma, np.abs(b.imag), nodes), lo.shape)
 
-    if system.pump.spectral_mode == SPECTRAL_MONOCHROMATIC:
-        fine, coarse, magnitude = _trace_monochromatic(
-            q_e, q_o, matrix, linear, system, nodes
-        )
-    else:
-        fine = np.empty(shape, dtype=complex)
-        coarse = np.empty(shape, dtype=complex)
-        magnitude = np.empty(shape)
-        components = np.broadcast_arrays(q_e.qx, q_e.qy, q_o.qx, q_o.qy)
-        for index in np.ndindex(shape):
-            qex, qey, qox, qoy = (float(c[index]) for c in components)
-            fine[index], coarse[index], magnitude[index] = _trace_gaussian_pump(
-                TransverseWavevector(qx=qex, qy=qey),
-                TransverseWavevector(qx=qox, qy=qoy),
-                matrix,
-                linear[index],
-                system,
-                nodes,
+    basis = _SUPPORT_BASIS[pump.spectral_mode]
+    k = len(basis)
+    q_parts = [
+        np.broadcast_to(part, shape).reshape((-1,) + (1,) * k)
+        for part in (q_e.qx, q_e.qy, q_o.qx, q_o.qy)
+    ]
+    even = (slice(None),) + (slice(None, None, 2),) * k
+    fine = np.empty(len(lo), dtype=complex)
+    coarse = np.empty(len(lo), dtype=complex)
+    magnitude = np.empty(len(lo))
+    for key in sorted(set(map(tuple, counts.tolist()))):
+        group = np.flatnonzero((counts == key).all(axis=-1))
+        sizes = [2 * n - 1 for n in key]
+        step = max(1, QUADRATURE_CHUNK_CELLS // math.prod(sizes))
+        for start in range(0, group.size, step):
+            rows = group[start:start + step]
+            # linspace returns the rows F-ordered; in C order numpy's pairwise
+            # sum adds each row as it adds a lone 1-D array, bit for bit
+            axes = [
+                np.ascontiguousarray(np.linspace(lo[rows, i], hi[rows, i], size, axis=-1))
+                for i, size in enumerate(sizes)
+            ]
+            grid = [
+                axis.reshape((len(rows),) + (1,) * i + (-1,) + (1,) * (k - 1 - i))
+                for i, axis in enumerate(axes)
+            ]
+            omega_e, omega_o = (
+                functools.reduce(np.add, [t * row[c] for t, row in zip(grid, basis)])
+                for c in (0, 1)
             )
+            qex, qey, qox, qoy = (part[rows] for part in q_parts)
+            integrand = (
+                filter_e.amplitude(omega_e)
+                * filter_o.amplitude(omega_o)
+                * mode_function(
+                    TransverseWavevector(qx=qex, qy=qey),
+                    omega_e,
+                    TransverseWavevector(qx=qox, qy=qoy),
+                    omega_o,
+                    geom,
+                    pump,
+                    system.mode,
+                )
+            )
+            fine[rows] = _nested_trapezoid(integrand, axes)
+            magnitude[rows] = _nested_trapezoid(np.abs(integrand), axes)
+            coarse[rows] = _nested_trapezoid(integrand[even], [axis[:, ::2] for axis in axes])
 
     if check_convergence:
         denom = np.maximum(np.abs(fine), 1e-9 * magnitude)

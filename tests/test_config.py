@@ -183,6 +183,21 @@ def test_per_polarization_refraction_splits_angles(tmp_path):
     assert run.system.geometry.emission_angle_e > run.system.geometry.emission_angle_o
 
 
+@pytest.mark.parametrize("value", ['"false"', "0.5", "1", "null"])
+def test_per_polarization_refraction_must_be_a_bool(tmp_path, value):
+    # a quoted "false" or a number is truthy and would switch the refraction on
+    path = write(tmp_path, f"geometry:\n  per_polarization_refraction: {value}\n")
+    with pytest.raises(ConfigError, match=r"geometry\.per_polarization_refraction"):
+        load_config(path)
+
+
+@pytest.mark.parametrize("value", ["5", "null", '""', "[bbo]"])
+def test_material_file_must_be_a_non_empty_string(tmp_path, value):
+    path = write(tmp_path, f"crystal:\n  material_file: {value}\n")
+    with pytest.raises(ConfigError, match=r"crystal\.material_file"):
+        load_config(path)
+
+
 def test_digest_deterministic_and_sensitive(tmp_path):
     first = config_digest(default_config())
     second = config_digest(default_config())
