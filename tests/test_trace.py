@@ -465,6 +465,20 @@ def test_batched_quadrature_pulsed_grid(gaussian_pump_system):
     assert np.array_equal(actual, expected)
 
 
+def test_batched_quadrature_pulsed_chunks_hold_several_points(gaussian_pump_system, monkeypatch):
+    pulsed = replace(gaussian_pump_system, mode="exact_sinc")
+    qy = np.linspace(-2e4, 2e4, 4)
+    q_A = TransverseWavevector(qx=3e3, qy=qy[:, np.newaxis])
+    q_B = TransverseWavevector(qx=-1e3, qy=0.9 * qy[np.newaxis, :])
+    expected, _, counts = reference_quadrature(q_A, q_B, pulsed, OA, nodes=9)
+    monkeypatch.setattr(trace_module, "QUADRATURE_CHUNK_CELLS", 1 << 18)
+    for n in set(counts):
+        rows = (1 << 18) // math.prod(2 * c - 1 for c in n)
+        assert rows > 1 and counts.count(n) % rows  # several points, partial last chunk
+    actual = integrate_quadrature(q_A, q_B, pulsed, OA, nodes=9, check_convergence=False)
+    assert np.array_equal(actual, expected)
+
+
 def test_quadrature_scalar_input_returns_scalar(sinc_system):
     q_A, q_B = qvec(qx=2e3, qy=1e4), qvec(qy=0.8e4)
     value = integrate_quadrature(q_A, q_B, sinc_system, EA)
