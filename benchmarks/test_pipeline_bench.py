@@ -40,6 +40,10 @@ Every row uses the default config, whose 2 mm pinhole is on. The rows are:
   from the real quadratic log-intensity; ``six_point`` swaps in the
   central-difference oracle kept in ``tests/test_analysis.py``. The two
   windows must agree to 1e-12 relative.
+- ``cli_scan``: ``spdcsim scan`` on the default config at 512^2, run
+  in-process through ``cli.main``, writing the grid CSV and its summary.
+  The summary's Pearson must be that of ``summarize(run_scan(...))`` on
+  the same plan, to all its printed digits.
 
 This directory sits outside the tier-1 ``testpaths``.
 """
@@ -61,7 +65,7 @@ from spdcsim import (
     summarize,
     waist_sweep,
 )
-from spdcsim import analysis
+from spdcsim import analysis, cli
 from spdcsim.trace import biphoton_intensity, pinhole_smooth
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
@@ -84,6 +88,7 @@ SWEEP_POINTS = 64
 SWEEP_WAISTS = np.linspace(31e-6, 500e-6, 40)  # m
 TRANSITION_TOL = 1e-6  # m
 AUTO_PLAN_POINTS = 64
+CLI_SCAN_POINTS = 512
 
 
 @pytest.fixture(scope="module")
@@ -226,3 +231,20 @@ def test_auto_plan(benchmark, run, monkeypatch, axis, moments):
     expected = auto_plan(axis, ea, run.system, AUTO_PLAN_POINTS)
     for got, want in ((plan.range_a, expected.range_a), (plan.range_b, expected.range_b)):
         assert np.allclose(got, want, rtol=1e-12, atol=0.0)
+
+
+def test_cli_scan(benchmark, run, tmp_path):
+    benchmark.group = f"cli scan y {CLI_SCAN_POINTS}"
+    benchmark.extra_info["points"] = CLI_SCAN_POINTS**2
+    config = tmp_path / "run.yaml"
+    config.write_text(f"scan:\n  points: {CLI_SCAN_POINTS}\n")
+    out = tmp_path / "grid.csv"
+    code = benchmark.pedantic(
+        cli.main, args=(["scan", "--config", str(config), "--out", str(out)],),
+        rounds=5, warmup_rounds=1,
+    )
+    assert code == 0
+    plan = auto_plan("y", DetectionAssignment.E_AT_A, run.system, CLI_SCAN_POINTS)
+    expected = summarize(run_scan(plan, run.system, pinhole_diameter=run.pinhole_diameter))
+    lines = (tmp_path / "grid.csv.summary").read_text().splitlines()
+    assert f"pearson: {cli.format_number(expected.pearson)}" in lines

@@ -66,7 +66,6 @@ from .config import (
     ConfigError,
     ResolvedRun,
     RunConfig,
-    config_digest,
     default_config,
     load_config,
     resolve,

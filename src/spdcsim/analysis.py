@@ -23,6 +23,7 @@ from .trace import (
     _mismatches,
     biphoton_intensity,
     pinhole_smooth,
+    resolve_pair,
 )
 
 AXES = ("x", "y")
@@ -133,10 +134,10 @@ def _momentum_pair(axis, assignment, orthogonal, system: OpticalSystem, grid_a, 
     ``orthogonal`` is the fixed detector position (m) on the other axis, a
     scalar or an array that broadcasts with the grids.
     """
-    lam_a = system.fourier.wavelength_at("A", assignment)
-    lam_b = system.fourier.wavelength_at("B", assignment)
-    ortho_a = system.fourier.position_to_momentum(orthogonal, lam_a)
-    ortho_b = system.fourier.position_to_momentum(orthogonal, lam_b)
+    fourier = system.fourier
+    lam_a, lam_b = resolve_pair(fourier.wavelength_e, fourier.wavelength_o, assignment)
+    ortho_a = fourier.position_to_momentum(orthogonal, lam_a)
+    ortho_b = fourier.position_to_momentum(orthogonal, lam_b)
     if axis == "y":
         q_A = TransverseWavevector(qx=ortho_a, qy=grid_a)
         q_B = TransverseWavevector(qx=ortho_b, qy=grid_b)
@@ -164,10 +165,10 @@ def run_scan(
     """
     positions_a = np.linspace(plan.range_a[0], plan.range_a[1], plan.points)
     positions_b = np.linspace(plan.range_b[0], plan.range_b[1], plan.points)
-    lam_a = system.fourier.wavelength_at("A", plan.assignment)
-    lam_b = system.fourier.wavelength_at("B", plan.assignment)
-    momenta_a = system.fourier.position_to_momentum(positions_a, lam_a)
-    momenta_b = system.fourier.position_to_momentum(positions_b, lam_b)
+    fourier = system.fourier
+    lam_a, lam_b = resolve_pair(fourier.wavelength_e, fourier.wavelength_o, plan.assignment)
+    momenta_a = fourier.position_to_momentum(positions_a, lam_a)
+    momenta_b = fourier.position_to_momentum(positions_b, lam_b)
 
     if method == "closed_form" and system.mode == MODE_GAUSSIAN_APPROX:
         values, (q_A, q_B) = _gaussian_scan_rates(plan, system, momenta_a, momenta_b)
@@ -308,8 +309,9 @@ def _gaussian_model_moments(axis, assignment, system, orthogonal=0.0):
     Its log-intensity (``_log_intensity_model``, which ``run_scan`` reads
     too) is d^T alpha d + kappa in d = J q + d_off, linear in the scan
     momenta q, so the precision is -2 J^T alpha J and the gradient at q = 0
-    is 2 J^T alpha d_off. Taken for q = (q_e, q_o) and swapped for
-    ``O_AT_A``, the oa window is the ea one with its detectors swapped.
+    is 2 J^T alpha d_off. They are taken for q = (q_e, q_o) and put in
+    detector order by ``resolve_pair``, so the oa window is the ea one with
+    its detectors swapped.
     Pure ridges are capped at a fixed variance ratio to the stiffest
     direction. Exact-sinc windows use them too.
     """
@@ -327,8 +329,8 @@ def _gaussian_model_moments(axis, assignment, system, orthogonal=0.0):
     covariance = vectors @ np.diag(1.0 / eigenvalues) @ vectors.T
     # the capped covariance keeps the mean finite along a ridge, where the
     # gradient component vanishes with the curvature
-    flip = slice(None, None, -1 if assignment is DetectionAssignment.O_AT_A else 1)
-    return (covariance @ gradient)[flip], covariance[flip, flip]
+    order = list(resolve_pair(0, 1, assignment))
+    return (covariance @ gradient)[order], covariance[np.ix_(order, order)]
 
 
 def auto_plan(
@@ -346,18 +348,18 @@ def auto_plan(
     """
     mean, covariance = _gaussian_model_moments(axis, assignment, system, orthogonal)
     half = _WINDOW_SIGMAS * np.sqrt(np.diag(covariance))
-    lam_a = system.fourier.wavelength_at("A", assignment)
-    lam_b = system.fourier.wavelength_at("B", assignment)
+    fourier = system.fourier
+    lam_a, lam_b = resolve_pair(fourier.wavelength_e, fourier.wavelength_o, assignment)
     return ScanPlan(
         axis=axis,
         assignment=assignment,
         range_a=(
-            system.fourier.momentum_to_position(mean[0] - half[0], lam_a),
-            system.fourier.momentum_to_position(mean[0] + half[0], lam_a),
+            fourier.momentum_to_position(mean[0] - half[0], lam_a),
+            fourier.momentum_to_position(mean[0] + half[0], lam_a),
         ),
         range_b=(
-            system.fourier.momentum_to_position(mean[1] - half[1], lam_b),
-            system.fourier.momentum_to_position(mean[1] + half[1], lam_b),
+            fourier.momentum_to_position(mean[1] - half[1], lam_b),
+            fourier.momentum_to_position(mean[1] + half[1], lam_b),
         ),
         points=points,
         orthogonal=orthogonal,
@@ -394,10 +396,18 @@ def assignment_sensitivity(
 def _pearson_by_waist(axis, system, plan, points, pinhole_diameter):
     """Pearson of one fixed-plan scan as a function of the isotropic pump waist.
 
-    Without a ``plan`` the scan takes the ea auto window of ``system``.
+    Without a ``plan`` the scan takes the ea auto window of ``system`` with
+    ``points`` per axis, 64 when None. A given plan must scan ``axis``, and
+    ``points``, when given, must be the plan's.
     """
     if plan is None:
-        plan = auto_plan(axis, DetectionAssignment.E_AT_A, system, points)
+        plan = auto_plan(
+            axis, DetectionAssignment.E_AT_A, system, 64 if points is None else points
+        )
+    elif plan.axis != axis:
+        raise ValueError(f"axis {axis!r} differs from the plan's axis {plan.axis!r}")
+    elif points is not None and points != plan.points:
+        raise ValueError(f"points={points} differs from the plan's {plan.points} points")
 
     def pearson_at(waist: float) -> float:
         swept = system.with_isotropic_waist(waist)
@@ -412,10 +422,15 @@ def waist_sweep(
     system: OpticalSystem,
     *,
     plan: ScanPlan | None = None,
-    points: int = 64,
+    points: int | None = None,
     pinhole_diameter: float = 0.0,
 ) -> list[tuple[float, float]]:
-    """Pearson coefficient per isotropic pump waist, on one fixed scan plan."""
+    """Pearson coefficient per isotropic pump waist, on one fixed scan plan.
+
+    The plan is ``plan`` or else the ea auto window of ``system`` with
+    ``points`` per axis (64 when None); a plan on another axis than
+    ``axis``, or of another size than a given ``points``, raises ValueError.
+    """
     waists = [float(w) for w in waists]
     bad = [w for w in waists if not 0.0 < w < math.inf]
     if bad:
@@ -432,13 +447,16 @@ def find_sign_transition(
     system: OpticalSystem,
     *,
     plan: ScanPlan | None = None,
-    points: int = 64,
+    points: int | None = None,
     pinhole_diameter: float = 0.0,
 ) -> float:
     """Bisect the isotropic pump waist where the scan's Pearson sign flips.
 
     Endpoints must straddle a sign change; bisection proceeds until the
-    bracket is narrower than ``tol`` (m) and returns its midpoint.
+    bracket is narrower than ``tol`` (m) and returns its midpoint. A
+    midpoint that is not strictly inside the bracket, once ``tol`` is below
+    the float spacing there, ends it too and is returned. The plan is
+    chosen and checked as in ``waist_sweep``.
     """
     for name, value in (("waist_lo", waist_lo), ("waist_hi", waist_hi), ("tol", tol)):
         if not 0.0 < value < math.inf:
@@ -460,6 +478,8 @@ def find_sign_transition(
     lo, hi = waist_lo, waist_hi
     while (hi - lo) > tol:
         mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            return mid
         p_mid = pearson_at(mid)
         if p_mid == 0.0:
             return mid

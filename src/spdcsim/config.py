@@ -13,7 +13,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 import yaml
@@ -119,26 +119,17 @@ def _build_section(name: str, cls, raw: dict):
     if unknown:
         raise ConfigError(f"unknown key {sorted(unknown)[0]!r} in section {name!r}")
     merged = {**asdict(defaults), **raw}
-    if name == "scan" and isinstance(merged.get("range_mm"), str):
-        if merged["range_mm"] != "auto":
-            raise ConfigError("scan.range_mm must be 'auto' or a [min, max] pair")
+    if name == "scan" and merged["range_mm"] == "auto":
         merged["range_mm"] = None
-    if merged.get("range_mm") is not None and name == "scan":
-        rng = merged["range_mm"]
-        if not (
-            isinstance(rng, (list, tuple))
-            and len(rng) == 2
-            and all(_is_finite_number(v) for v in rng)
-        ):
-            raise ConfigError(
-                f"scan.range_mm must be 'auto' or a [min, max] pair of finite numbers, got {rng!r}"
-            )
-        merged["range_mm"] = (float(rng[0]), float(rng[1]))
     return cls(**merged)
 
 
 def validate(config: RunConfig) -> RunConfig:
-    """Check every invariant, naming the offending field on failure."""
+    """Check every invariant, naming the offending field on failure.
+
+    Returns the config, with ``scan.range_mm`` as a pair of floats, so a
+    range written as ints or as a list gets the digest of its float pair.
+    """
     p = config.pump
     _require_positive(p.wavelength_nm, "pump.wavelength_nm")
     _require_positive(p.waist_x_um, "pump.waist_x_um")
@@ -209,10 +200,15 @@ def validate(config: RunConfig) -> RunConfig:
         raise ConfigError(f"scan.points must be an integer >= 8, got {s.points!r}")
     if not _is_finite_number(s.orthogonal_mm):
         raise ConfigError(f"scan.orthogonal_mm must be a finite number, got {s.orthogonal_mm!r}")
-    if s.range_mm is not None and not (
-        all(map(_is_finite_number, s.range_mm)) and s.range_mm[0] < s.range_mm[1]
-    ):
-        raise ConfigError(f"scan.range_mm must be finite with min < max, got {s.range_mm}")
+    rng = s.range_mm
+    if rng is not None:
+        pair = isinstance(rng, (list, tuple)) and len(rng) == 2
+        if not (pair and all(map(_is_finite_number, rng)) and rng[0] < rng[1]):
+            raise ConfigError(
+                "scan.range_mm must be 'auto' or a [min, max] pair of finite numbers "
+                f"with min < max, got {rng!r}"
+            )
+        config = replace(config, scan=replace(s, range_mm=(float(rng[0]), float(rng[1]))))
 
     if config.mode not in (MODE_GAUSSIAN_APPROX, MODE_EXACT_SINC):
         raise ConfigError(
@@ -250,12 +246,7 @@ def load_config(path) -> RunConfig:
     if (geom_cfg.phi_e_deg is not None or geom_cfg.phi_o_deg is not None) and (
         "half_open_angle_ext_deg" not in (raw.get("geometry") or {})
     ):
-        sections["geometry"] = GeometryConfig(
-            half_open_angle_ext_deg=None,
-            phi_e_deg=geom_cfg.phi_e_deg,
-            phi_o_deg=geom_cfg.phi_o_deg,
-            per_polarization_refraction=geom_cfg.per_polarization_refraction,
-        )
+        sections["geometry"] = replace(geom_cfg, half_open_angle_ext_deg=None)
     config = RunConfig(mode=raw.get("mode", MODE_GAUSSIAN_APPROX), **sections)
     return validate(config)
 
@@ -376,11 +367,3 @@ def resolve(config: RunConfig, *, base_dir: Path | None = None) -> ResolvedRun:
         digest=hashlib.sha256(payload.encode()).hexdigest()[:16],
     )
 
-
-def config_digest(config: RunConfig) -> str:
-    """Short deterministic digest of the run that ``resolve(config)`` builds.
-
-    Without a base directory, a relative ``material_file`` is read from the
-    working directory.
-    """
-    return resolve(config).digest

@@ -135,15 +135,6 @@ class FourierPlaneMap:
     def momentum_to_position(self, q, wavelength: float):
         return np.asarray(q) * wavelength * self.focal_length / (2.0 * np.pi)
 
-    def wavelength_at(self, detector: str, assignment: DetectionAssignment) -> float:
-        """Central wavelength of the photon routed to detector 'A' or 'B'."""
-        if detector not in ("A", "B"):
-            raise ValueError(f"detector must be 'A' or 'B', got {detector!r}")
-        e_at_a = assignment is DetectionAssignment.E_AT_A
-        if (detector == "A") == e_at_a:
-            return self.wavelength_e
-        return self.wavelength_o
-
 
 @dataclass(frozen=True)
 class OpticalSystem:
@@ -174,19 +165,28 @@ def _require_positive_definite(matrix) -> None:
 
 
 def resolve_pair(q_A, q_B, assignment: DetectionAssignment):
-    """Map detector momenta to (q_e, q_o) for the requested polarizer setting."""
+    """The one polarizer relabel: map a detector pair (A, B) to its photons (e, o).
+
+    The map keeps the pair for ``E_AT_A`` and swaps it otherwise, so it is
+    its own inverse: ``resolve_pair(q_A, q_B, a)`` gives (q_e, q_o), and
+    ``resolve_pair(lam_e, lam_o, a)`` gives the detectors' (lam_A, lam_B).
+    """
     if assignment is DetectionAssignment.E_AT_A:
         return q_A, q_B
     return q_B, q_A
 
 
 def _form_constants(system, gamma):
-    """Detuning coefficients a1 of d1 and ak of dk, and the real 2x2 matrix M.
+    """The rows u, v and w of the integrand's linear term, and the real 2x2 matrix M.
 
-    M holds the filters, the pump's y waist along a1, the acceptance
-    exp(-gamma x^2), x = dk L/2, along ak and a pulsed pump's spectrum; no
-    term depends on the detector momenta. Raises DivergingIntegralError
-    unless M is positive definite.
+    With acceptance exp(-gamma x^2) exp(i x), x = dk L/2, the linear term
+    is b = d1 u + dk v + i w in the mismatches d at zero detuning. Its rows,
+    returned as one 3x2 array, are u = -(w_y^2 / 2) a1, v = -2 gamma (L/2)^2 ak
+    and w = (L/2) ak, where a1 and ak are the coefficients of
+    (omega_e, omega_o) in the transverse-y and longitudinal mismatches. M
+    holds the filters, the pump's y waist along a1, the acceptance along ak
+    and a pulsed pump's spectrum; no term depends on the detector momenta.
+    Raises DivergingIntegralError unless M is positive definite.
     """
     geom, pump = system.geometry, system.pump
     filter_e, filter_o = system.filter_e, system.filter_o
@@ -196,7 +196,6 @@ def _form_constants(system, gamma):
     cos_o = math.cos(geom.emission_angle_o)
     half_l = geom.crystal_length / 2.0
 
-    # coefficients of (omega_e, omega_o) inside the two mismatch functions
     a1 = np.array([-geom.group_slowness_e * sin_e, geom.group_slowness_o * sin_o])
     ak = np.array(
         [
@@ -213,7 +212,8 @@ def _form_constants(system, gamma):
     if pump.spectral_mode == SPECTRAL_GAUSSIAN:
         matrix += np.ones((2, 2)) / (2.0 * pump.spectral_sigma**2)
     _require_positive_definite(matrix)
-    return a1, ak, matrix
+    rows = np.array([-(pump.waist_y**2 / 2.0) * a1, -2.0 * gamma * half_l**2 * ak, half_l * ak])
+    return rows, matrix
 
 
 def _mismatches(q_A, q_B, assignment, geom):
@@ -232,16 +232,9 @@ def _window_form(q_A, q_B, system, assignment):
     window from them; b has the momenta's broadcast shape plus a trailing
     axis of 2.
     """
-    geom, pump, gamma = system.geometry, system.pump, SINC_GAUSSIAN_GAMMA
-    a1, ak, matrix = _form_constants(system, gamma)
-    _, d1, dk = _mismatches(q_A, q_B, assignment, geom)
-    half_l = geom.crystal_length / 2.0
-    linear = (
-        -(pump.waist_y**2 / 2.0) * d1[..., np.newaxis] * a1
-        - 2.0 * gamma * half_l**2 * dk[..., np.newaxis] * ak
-        + 1j * half_l * ak
-    )
-    return matrix, linear
+    (u, v, w), matrix = _form_constants(system, SINC_GAUSSIAN_GAMMA)
+    _, d1, dk = _mismatches(q_A, q_B, assignment, system.geometry)
+    return matrix, d1[..., np.newaxis] * u + dk[..., np.newaxis] * v + 1j * w
 
 
 def _on_support(pump, matrix, *vectors):
@@ -267,8 +260,8 @@ def _trace_gram(system, gamma):
     """The one reduction behind every closed form: log|A|^2 and the Gram matrix.
 
     With acceptance exp(-gamma x^2) exp(i x), x = dk L/2, the integrand's
-    linear term is b = d1 u + dk v + i w with rows u = -(w_y^2 / 2) a1,
-    v = -2 gamma (L/2)^2 ak and w = (L/2) ak, and its constant is
+    linear term is b = d1 u + dk v + i w, with the rows u, v and w that
+    ``_form_constants`` states, and its constant is
     c = -(w_x^2 d0^2 + w_y^2 d1^2) / 4 - gamma (L/2)^2 dk^2 + i (L/2) dk.
     The closed form A = pref exp(b^T M^-1 b / 2 + c) then needs only
     |pref|^2 = (2 pi)^k / det M and the 3x3 Gram matrix G of u, v and w in
@@ -278,10 +271,8 @@ def _trace_gram(system, gamma):
     alpha_00 = -w_x^2 / 2, alpha_11 = G_uu - w_y^2 / 2, alpha_12 = 2 G_uv and
     alpha_22 = G_vv - 2 gamma (L/2)^2.
     """
-    geom, pump = system.geometry, system.pump
-    a1, ak, matrix = _form_constants(system, gamma)
-    half_l = geom.crystal_length / 2.0
-    rows = np.array([-(pump.waist_y**2 / 2.0) * a1, -2.0 * gamma * half_l**2 * ak, half_l * ak])
+    pump, half_l = system.pump, system.geometry.crystal_length / 2.0
+    rows, matrix = _form_constants(system, gamma)
     m_inv, det, rows = _on_support(pump, matrix, rows)
     # Python floats, not numpy scalars, so numpy can reuse N^2 temporaries in place
     gram = (rows @ m_inv @ rows.T).tolist()
@@ -384,7 +375,7 @@ def _trace_exact_sinc(q_A, q_B, system, assignment):
     With x = dk L/2, exp(i x) sinc x = (1/2) integral of exp(i x (1 + s)) over
     s in [-1, 1]. At depth node s the frequency integrand is the gamma = 0
     Gaussian with i s w added to its linear term and i s (L/2) dk to its
-    constant, where w = (L/2) ak and v = 0. So its closed form is the s = 0
+    constant, where v = 0 (``_form_constants``). So its closed form is the s = 0
     amplitude times exp(B s + C s^2), with B = i phase - G_ww per point and
     C = -G_ww / 2 (``_gaussian_amplitude``).
     """
@@ -612,15 +603,15 @@ def coincidence_rate(
     given assignment. The rate is the closed form of
     ``biphoton_intensity``. Always non-negative.
     """
-    lam_a = system.fourier.wavelength_at("A", assignment)
-    lam_b = system.fourier.wavelength_at("B", assignment)
+    fourier = system.fourier
+    lam_a, lam_b = resolve_pair(fourier.wavelength_e, fourier.wavelength_o, assignment)
     q_A = TransverseWavevector(
-        qx=system.fourier.position_to_momentum(x_A[0], lam_a),
-        qy=system.fourier.position_to_momentum(x_A[1], lam_a),
+        qx=fourier.position_to_momentum(x_A[0], lam_a),
+        qy=fourier.position_to_momentum(x_A[1], lam_a),
     )
     q_B = TransverseWavevector(
-        qx=system.fourier.position_to_momentum(x_B[0], lam_b),
-        qy=system.fourier.position_to_momentum(x_B[1], lam_b),
+        qx=fourier.position_to_momentum(x_B[0], lam_b),
+        qy=fourier.position_to_momentum(x_B[1], lam_b),
     )
     q_A.check_paraxial(lam_a)
     q_B.check_paraxial(lam_b)

@@ -29,6 +29,7 @@ from spdcsim.trace import (
     DetectionAssignment,
     SpectralFilter,
     biphoton_intensity,
+    resolve_pair,
     spatial_biphoton,
 )
 
@@ -482,11 +483,11 @@ def test_oa_statistics_from_ea_covariance_match_relabelled_summary(kind, mode, a
 
 def meshgrid_scan_values(plan, system, method="closed_form"):
     """Intensities of a scan traced on full N x N meshgrids of detector momenta."""
+    fourier = system.fourier
+    wavelengths = resolve_pair(fourier.wavelength_e, fourier.wavelength_o, plan.assignment)
     momenta = [
-        system.fourier.position_to_momentum(
-            np.linspace(*rng, plan.points), system.fourier.wavelength_at(detector, plan.assignment)
-        )
-        for detector, rng in (("A", plan.range_a), ("B", plan.range_b))
+        fourier.position_to_momentum(np.linspace(*rng, plan.points), lam)
+        for lam, rng in zip(wavelengths, (plan.range_a, plan.range_b))
     ]
     grid_a, grid_b = np.meshgrid(*momenta, indexing="ij")
     q_A, q_B = _momentum_pair(plan.axis, plan.assignment, plan.orthogonal, system, grid_a, grid_b)
@@ -639,6 +640,50 @@ def test_sign_transition_found_inside_bracket(system):
     assert 31e-6 < waist < 500e-6
     tighter = find_sign_transition("y", 31e-6, 500e-6, 1e-7, system, plan=plan)
     assert abs(tighter - waist) < 1e-6
+
+
+def test_sign_transition_ends_below_the_float_spacing_of_the_bracket(system):
+    # past about 55 halvings the midpoint equals an endpoint and the bracket
+    # stops shrinking; the bisection must end there, not loop
+    plan = auto_plan("y", EA, system, 64)
+    waist = find_sign_transition("y", 31e-6, 500e-6, 1e-30, system, plan=plan)
+    assert 31e-6 < waist < 500e-6
+    coarse = find_sign_transition("y", 31e-6, 500e-6, 1e-6, system, plan=plan)
+    assert abs(waist - coarse) < 1e-6
+
+
+@pytest.fixture(scope="module")
+def y_plan(system):
+    return auto_plan("y", EA, system, 32)
+
+
+def test_waist_sweep_rejects_a_plan_on_another_axis(system, y_plan):
+    with pytest.raises(ValueError, match="axis 'x' differs from the plan's axis 'y'"):
+        waist_sweep("x", [40e-6], system, plan=y_plan)
+
+
+def test_sign_transition_rejects_a_plan_on_another_axis(system, y_plan):
+    with pytest.raises(ValueError, match="axis 'x' differs from the plan's axis 'y'"):
+        find_sign_transition("x", 31e-6, 500e-6, 1e-6, system, plan=y_plan)
+
+
+def test_waist_sweep_rejects_points_that_differ_from_the_plan(system, y_plan):
+    with pytest.raises(ValueError, match="points=512 differs from the plan's 32 points"):
+        waist_sweep("y", [40e-6], system, plan=y_plan, points=512)
+
+
+def test_sign_transition_rejects_points_that_differ_from_the_plan(system, y_plan):
+    with pytest.raises(ValueError, match="points=512 differs from the plan's 32 points"):
+        find_sign_transition("y", 31e-6, 500e-6, 1e-6, system, plan=y_plan, points=512)
+
+
+def test_waist_sweep_takes_the_plan_with_or_without_its_own_points(system, y_plan):
+    with_points = waist_sweep("y", [40e-6], system, plan=y_plan, points=32)
+    assert with_points == waist_sweep("y", [40e-6], system, plan=y_plan)
+    # without a plan, points (64 by default) sizes the ea auto window
+    assert waist_sweep("y", [40e-6], system) == waist_sweep(
+        "y", [40e-6], system, plan=auto_plan("y", EA, system, 64)
+    )
 
 
 def test_sign_transition_requires_straddling_bracket(system):

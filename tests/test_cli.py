@@ -234,6 +234,13 @@ def test_transition_reports_bracketed_waist(tmp_path, fast_config, capsys):
     assert out.read_text().startswith("# config_digest=")
 
 
+def test_transition_with_a_tolerance_below_the_float_spacing_ends(tmp_path, capsys):
+    rc = main(["transition", "--wlo", "31", "--whi", "500", "--tol", "1e-20"])
+    assert rc == 0
+    waist = float(capsys.readouterr().out.strip().split("=", 1)[1])
+    assert 31.0 < waist < 500.0
+
+
 def test_transition_same_sign_bracket_fails(tmp_path, fast_config, capsys):
     rc = main([
         "transition", "--config", str(fast_config), "--axis", "y",

@@ -9,7 +9,6 @@ from spdcsim.config import (
     ConfigError,
     RunConfig,
     ScanConfig,
-    config_digest,
     default_config,
     load_config,
     resolve,
@@ -113,6 +112,8 @@ def test_scan_range_forms(tmp_path):
         load_config(write(tmp_path, "scan:\n  range_mm: [5, -5]\n"))
     with pytest.raises(ConfigError, match="range_mm"):
         load_config(write(tmp_path, "scan:\n  range_mm: wide\n"))
+    with pytest.raises(ConfigError, match="range_mm"):
+        load_config(write(tmp_path, "scan:\n  range_mm: [-5, 0, 5]\n"))
 
 
 @pytest.mark.parametrize(
@@ -141,6 +142,20 @@ def test_validate_rejects_non_finite_range_built_in_python():
     config = RunConfig(scan=ScanConfig(range_mm=(-math.inf, 6.0)))
     with pytest.raises(ConfigError, match=r"scan\.range_mm"):
         validate(config)
+
+
+@pytest.mark.parametrize("rng", [[1.0], (1.0, 2.0, 3.0)], ids=["one", "three"])
+def test_validate_rejects_range_built_in_python_without_two_values(rng):
+    with pytest.raises(ConfigError, match=r"scan\.range_mm"):
+        validate(RunConfig(scan=ScanConfig(range_mm=rng)))
+
+
+def test_validate_returns_a_range_built_in_python_as_floats():
+    config = validate(RunConfig(scan=ScanConfig(range_mm=[1, 2])))
+    assert config.scan.range_mm == (1.0, 2.0)
+    assert all(type(v) is float for v in config.scan.range_mm)
+    from_floats = validate(RunConfig(scan=ScanConfig(range_mm=(1.0, 2.0))))
+    assert resolve(config).digest == resolve(from_floats).digest
 
 
 @pytest.mark.parametrize("label", ["zz", "EA", "Oa"])
@@ -199,11 +214,11 @@ def test_material_file_must_be_a_non_empty_string(tmp_path, value):
 
 
 def test_digest_deterministic_and_sensitive(tmp_path):
-    first = config_digest(default_config())
-    second = config_digest(default_config())
+    first = resolve(default_config()).digest
+    second = resolve(default_config()).digest
     assert first == second
     tweaked = load_config(write(tmp_path, "pump:\n  waist_y_um: 32\n"))
-    assert config_digest(tweaked) != first
+    assert resolve(tweaked).digest != first
 
 
 CUSTOM_MATERIAL = (
@@ -259,7 +274,7 @@ def test_yaml_loader_is_libyaml_where_built_and_keeps_every_digest(monkeypatch):
 
     def digests():
         runs = [resolve(load_config(p), base_dir=p.parent) for p in configs]
-        return [run.digest for run in runs] + [config_digest(default_config())]
+        return [run.digest for run in runs] + [resolve(default_config()).digest]
 
     fast = digests()
     monkeypatch.setattr(dispersion, "YAML_LOADER", yaml.SafeLoader)

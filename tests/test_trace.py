@@ -29,6 +29,7 @@ from spdcsim.trace import (
     coincidence_rate,
     integrate_quadrature,
     pinhole_smooth,
+    resolve_pair,
     spatial_biphoton,
 )
 
@@ -87,18 +88,16 @@ def test_fourier_map_matches_direct_arithmetic():
 
 def test_fourier_map_origin_maps_to_zero():
     fmap = FourierPlaneMap(focal_length=0.75, wavelength_e=814e-9, wavelength_o=814e-9)
-    for assignment in (EA, OA):
-        for detector in ("A", "B"):
-            lam = fmap.wavelength_at(detector, assignment)
-            assert fmap.position_to_momentum(0.0, lam) == 0.0
+    assert fmap.position_to_momentum(0.0, fmap.wavelength_e) == 0.0
+    assert fmap.position_to_momentum(0.0, fmap.wavelength_o) == 0.0
 
 
-def test_fourier_map_routes_wavelengths_by_assignment():
+def test_resolve_pair_routes_wavelengths_by_assignment():
+    # the relabel of detector momenta to photons is its own inverse, so it
+    # also takes the photons' wavelengths to the detectors
     fmap = FourierPlaneMap(focal_length=0.75, wavelength_e=810e-9, wavelength_o=818e-9)
-    assert fmap.wavelength_at("A", EA) == 810e-9
-    assert fmap.wavelength_at("B", EA) == 818e-9
-    assert fmap.wavelength_at("A", OA) == 818e-9
-    assert fmap.wavelength_at("B", OA) == 810e-9
+    assert resolve_pair(fmap.wavelength_e, fmap.wavelength_o, EA) == (810e-9, 818e-9)
+    assert resolve_pair(fmap.wavelength_e, fmap.wavelength_o, OA) == (818e-9, 810e-9)
 
 
 # ---------------------------------------------------------------- quadratic form
@@ -385,8 +384,9 @@ def pulsed_sinc_system():
 def scan_momenta(system, axis, assignment, points, orthogonal=0.0):
     """Detector momenta of an auto-window scan, as ``run_scan`` builds them."""
     plan = auto_plan(axis, assignment, system, points, orthogonal=orthogonal)
-    lam_a = system.fourier.wavelength_at("A", assignment)
-    lam_b = system.fourier.wavelength_at("B", assignment)
+    lam_a, lam_b = resolve_pair(
+        system.fourier.wavelength_e, system.fourier.wavelength_o, assignment
+    )
     grid_a, grid_b = np.meshgrid(
         system.fourier.position_to_momentum(np.linspace(*plan.range_a, points), lam_a),
         system.fourier.position_to_momentum(np.linspace(*plan.range_b, points), lam_b),
@@ -637,11 +637,11 @@ def test_rate_invariant_under_consistent_unit_rescaling(system):
 
 def window_momenta(system, axis, assignment, range_a, range_b, points, orthogonal=0.0):
     """Detector momenta of a scan window on broadcast axes, as ``run_scan`` builds them."""
+    fourier = system.fourier
+    wavelengths = resolve_pair(fourier.wavelength_e, fourier.wavelength_o, assignment)
     momenta = [
-        system.fourier.position_to_momentum(
-            np.linspace(*rng, points), system.fourier.wavelength_at(detector, assignment)
-        )
-        for detector, rng in (("A", range_a), ("B", range_b))
+        fourier.position_to_momentum(np.linspace(*rng, points), lam)
+        for lam, rng in zip(wavelengths, (range_a, range_b))
     ]
     return _momentum_pair(
         axis, assignment, orthogonal, system,
@@ -704,9 +704,10 @@ def divergent_gamma(system, defect):
     at gamma_00 = -M_00 / (s ak_0^2) and det M at
     gamma_det = -1 / (s ak^T M(0)^-1 ak), which lies above gamma_00.
     """
-    geom = system.geometry
-    _, ak, matrix = trace_module._form_constants(system, 0.0)
-    s = 2.0 * (geom.crystal_length / 2.0) ** 2
+    half_l = system.geometry.crystal_length / 2.0
+    (_, _, w), matrix = trace_module._form_constants(system, 0.0)
+    ak = w / half_l
+    s = 2.0 * half_l**2
     gamma_00 = -matrix[0, 0] / (s * ak[0] ** 2)
     gamma_det = -1.0 / (s * (ak @ np.linalg.solve(matrix, ak)))
     gamma = {"negative-entry": 2.0 * gamma_00, "indefinite": 0.5 * (gamma_00 + gamma_det)}[defect]
