@@ -1,4 +1,4 @@
-"""Timing of the exact-sinc frequency trace: depth closed form, trapezoid, reference.
+"""Timing of the exact-sinc frequency trace: depth closed form and trapezoid oracle.
 
 Run from the repository root (about 30 s on a 2-vCPU Xeon VM):
 
@@ -11,11 +11,11 @@ y scan of the default config in exact-sinc mode, with a CW pump or a
 - ``depth``: ``spatial_biphoton``'s default closed form, summed over
   crystal depth. It must match the trapezoid to 1e-8 relative at every
   point of an 8^2 subgrid (every points/8-th row and column).
-- ``batched``: ``spatial_biphoton(..., method="quadrature")``, the batched
-  trapezoid, one rule for both pumps on a tensor grid over the pump's
-  frequency support. It must equal the per-point reference bit for bit.
-- ``reference``: the same rule one point at a time, for either pump, as
-  kept in ``tests/test_trace.py``.
+- ``quadrature``: ``spatial_biphoton(..., method="quadrature")``, the
+  trapezoid oracle, one rule for both pumps on a tensor grid over the
+  pump's frequency support, integrated one point at a time. It must equal
+  ``reference_quadrature`` of ``tests/test_trace.py``, a separate
+  statement of the rule, bit for bit.
 
 To compare two revisions, run the file in a checkout of each, alternating
 between them; on a shared VM, runs made far apart spread more than most
@@ -49,9 +49,9 @@ PULSED = {"spectral_mode": "gaussian", "spectral_fwhm_nm": 0.5}
 
 # case -> (pump settings, grid points per axis, timed rounds, timed rows)
 CASES = {
-    "cw_32": ({}, 32, 5, ("batched", "reference", "depth")),
-    "cw_64": ({}, 64, 5, ("batched", "depth")),
-    "pulsed_8": (PULSED, 8, 3, ("batched", "reference", "depth")),
+    "cw_32": ({}, 32, 5, ("quadrature", "depth")),
+    "cw_64": ({}, 64, 5, ("quadrature", "depth")),
+    "pulsed_8": (PULSED, 8, 3, ("quadrature", "depth")),
     "pulsed_64": (PULSED, 64, 5, ("depth",)),
 }
 ROWS = [(case, path) for case, (*_, paths) in CASES.items() for path in paths]
@@ -71,12 +71,7 @@ def test_exact_sinc_trace(benchmark, case, path):
     q_A, q_B = scan_momenta(system, "y", EA, points)
     benchmark.group = f"exact_sinc {case}"
     benchmark.extra_info["points"] = points * points
-    if path == "reference":
-        benchmark.pedantic(
-            reference_quadrature, args=(q_A, q_B, system, EA), rounds=rounds, warmup_rounds=1
-        )
-        return
-    if path == "batched":
+    if path == "quadrature":
         amplitude = benchmark.pedantic(
             spatial_biphoton, args=(q_A, q_B, system, EA),
             kwargs={"method": "quadrature"}, rounds=rounds, warmup_rounds=1,

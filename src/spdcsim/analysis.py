@@ -21,9 +21,9 @@ from .trace import (
     _log_intensity,
     _log_intensity_quadratic,
     _mismatches,
-    biphoton_intensity,
     pinhole_smooth,
     resolve_pair,
+    spatial_biphoton,
 )
 
 AXES = ("x", "y")
@@ -84,6 +84,14 @@ class JointDistribution:
         v = np.asarray(self.values)
         if v.shape != (len(self.positions_a), len(self.positions_b)):
             raise ValueError("values shape does not match the scan axes")
+        for name, momenta, positions in (
+            ("momenta_a", self.momenta_a, self.positions_a),
+            ("momenta_b", self.momenta_b, self.positions_b),
+        ):
+            if np.shape(momenta) != (len(positions),):
+                raise ValueError(
+                    f"{name} has shape {np.shape(momenta)}, expected ({len(positions)},)"
+                )
         # NaN and +-inf reach the min or the max; initial=0.0 leaves an empty
         # grid to the no-positive check instead of a reduction error
         low, high = v.min(initial=0.0), v.max(initial=0.0)
@@ -160,8 +168,8 @@ def run_scan(
     In the Gaussian mode's closed form the log-intensity is an exact
     quadratic in the scan momenta, so the rates are one exponential of two
     length-N terms and one N x N outer product (``_gaussian_scan_rates``).
-    Every other mode and method takes ``biphoton_intensity`` on broadcast
-    momentum axes.
+    Every other mode and method takes ``np.abs(spatial_biphoton(...)) ** 2``
+    on broadcast momentum axes.
     """
     positions_a = np.linspace(plan.range_a[0], plan.range_a[1], plan.points)
     positions_b = np.linspace(plan.range_b[0], plan.range_b[1], plan.points)
@@ -178,7 +186,7 @@ def run_scan(
             plan.axis, plan.assignment, plan.orthogonal, system,
             momenta_a[:, np.newaxis], momenta_b[np.newaxis, :],
         )
-        values = biphoton_intensity(q_A, q_B, system, plan.assignment, method=method)
+        values = np.abs(spatial_biphoton(q_A, q_B, system, plan.assignment, method=method)) ** 2
     q_A.check_paraxial(lam_a)
     q_B.check_paraxial(lam_b)
 

@@ -19,7 +19,7 @@ from pathlib import Path
 import yaml
 
 from . import __version__, dispersion
-from .dispersion import SellmeierModel, UniaxialCrystal, load_material
+from .dispersion import SellmeierModel, UniaxialCrystal, _is_finite_number, load_material
 from .kernel import (
     MODE_EXACT_SINC,
     MODE_GAUSSIAN_APPROX,
@@ -99,11 +99,6 @@ _SECTIONS = {
     "optics": OpticsConfig,
     "scan": ScanConfig,
 }
-
-
-def _is_finite_number(value) -> bool:
-    # YAML true/false load as bool, which Python counts as int
-    return isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
 
 
 def _require_positive(value, name: str):

@@ -25,6 +25,11 @@ C_LIGHT = 299792458.0  # m/s
 YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 
 
+def _is_finite_number(value) -> bool:
+    # YAML true/false load as bool, which Python counts as int
+    return isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
+
+
 class WavelengthRangeError(ValueError):
     """Wavelength outside the validity range of the dispersion data."""
 
@@ -157,14 +162,20 @@ def load_material(source) -> SellmeierModel:
     missing = _REQUIRED_KEYS - set(raw)
     if missing:
         raise MaterialFileError(f"{path}: missing keys {sorted(missing)}")
+    numbers = {}
+    for key in ("valid_range_um", "ordinary_coeffs", "extraordinary_coeffs"):
+        values = raw[key]
+        if not (isinstance(values, list) and all(map(_is_finite_number, values))):
+            raise MaterialFileError(
+                f"{path}: {key} must be a sequence of finite numbers, got {values!r}"
+            )
+        numbers[key] = tuple(float(v) for v in values)
     try:
         return SellmeierModel(
             name=str(raw["name"]),
             provenance=str(raw["provenance"]),
             formula_id=str(raw["formula_id"]),
-            valid_range_um=tuple(float(v) for v in raw["valid_range_um"]),
-            ordinary_coeffs=tuple(float(v) for v in raw["ordinary_coeffs"]),
-            extraordinary_coeffs=tuple(float(v) for v in raw["extraordinary_coeffs"]),
+            **numbers,
         )
     except (TypeError, ValueError) as exc:
         if isinstance(exc, MaterialFileError):

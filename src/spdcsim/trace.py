@@ -20,8 +20,8 @@ exp(i x) sinc x = (1/2) integral of exp(i x (1 + s)) over s in [-1, 1] with
 x = dk L/2, so at each depth the integrand is again a complex Gaussian and
 its trace is the gamma = 0 closed form times a Gauss-Legendre sum over
 depth nodes. A trapezoid quadrature covers either mode and serves as the
-independent oracle: one batched rule for both pumps, on a grid over the
-pump's support that the oracle states for itself (``_SUPPORT_BASIS``).
+independent oracle: one rule for both pumps, one point at a time, on a grid
+over the pump's support that the oracle states for itself (``_SUPPORT_BASIS``).
 """
 
 from __future__ import annotations
@@ -396,10 +396,6 @@ def _node_count(span, feature_scale, phase_rate, floor: int):
     return n.astype(int)
 
 
-# Integrand cells (points x fine nodes) evaluated at once; small chunks keep
-# the temporaries in cache and the peak memory flat.
-QUADRATURE_CHUNK_CELLS = 4096
-
 # Rows B of the oracle's frequency grid: a node t maps to (omega_e, omega_o) =
 # t B. Stated apart from ``_on_support`` so that the oracle checks the support
 # the closed forms integrate over instead of sharing it.
@@ -410,13 +406,9 @@ _SUPPORT_BASIS = {
 
 
 def _nested_trapezoid(values, axes):
-    """Trapezoid rule over the trailing grid axes of ``values``, the last first.
-
-    ``values`` has shape (points, n_1, ..., n_k) and ``axes[i]`` holds the
-    (points, n_(i+1)) nodes of grid axis i + 1.
-    """
-    for i in reversed(range(len(axes))):
-        values = np.trapezoid(values, axes[i].reshape((len(values),) + (1,) * i + (-1,)), axis=-1)
+    """Trapezoid rule over the axes of ``values``, the last first, on the 1-D nodes ``axes``."""
+    for axis in reversed(axes):
+        values = np.trapezoid(values, axis, axis=-1)
     return values
 
 
@@ -437,7 +429,8 @@ def integrate_quadrature(
     returns a complex scalar, arrays return an array of their broadcast
     shape. The trace runs over a tensor grid on the pump's support, one
     axis for a CW pump and two for a pulsed one, mapped to the detunings
-    through ``_SUPPORT_BASIS``. On each axis a point's window reaches
+    through ``_SUPPORT_BASIS``, and integrates one point per loop
+    iteration. On each axis a point's window reaches
     QUADRATURE_WINDOW_SIGMAS widths of both the filters alone and the
     shifted product Gaussian of the Gaussian-approximated form, both taken
     on the support by ``_on_support``, and its node count n is raised above
@@ -452,10 +445,6 @@ def integrate_quadrature(
     trapezoid under-resolves tail points and warns (at a 500 um waist, 20
     of the 36 points of a 6^2 y grid over +-6 mm); the depth closed form
     does not need a window.
-
-    Points are grouped by their node counts and integrated in chunks of
-    QUADRATURE_CHUNK_CELLS integrand cells; the result is bit-identical to
-    integrating each point alone.
     """
     geom, pump = system.geometry, system.pump
     filter_e, filter_o = system.filter_e, system.filter_o
@@ -472,52 +461,37 @@ def integrate_quadrature(
     counts = np.broadcast_to(_node_count(hi - lo, sigma, np.abs(b.imag), nodes), lo.shape)
 
     basis = _SUPPORT_BASIS[pump.spectral_mode]
-    k = len(basis)
+    even = (slice(None, None, 2),) * len(basis)
     q_parts = [
-        np.broadcast_to(part, shape).reshape((-1,) + (1,) * k)
-        for part in (q_e.qx, q_e.qy, q_o.qx, q_o.qy)
+        np.broadcast_to(part, shape).ravel().tolist() for part in (q_e.qx, q_e.qy, q_o.qx, q_o.qy)
     ]
-    even = (slice(None),) + (slice(None, None, 2),) * k
     fine = np.empty(len(lo), dtype=complex)
     coarse = np.empty(len(lo), dtype=complex)
     magnitude = np.empty(len(lo))
-    for key in sorted(set(map(tuple, counts.tolist()))):
-        group = np.flatnonzero((counts == key).all(axis=-1))
-        sizes = [2 * n - 1 for n in key]
-        step = max(1, QUADRATURE_CHUNK_CELLS // math.prod(sizes))
-        for start in range(0, group.size, step):
-            rows = group[start:start + step]
-            # linspace returns the rows F-ordered; in C order numpy's pairwise
-            # sum adds each row as it adds a lone 1-D array, bit for bit
-            axes = [
-                np.ascontiguousarray(np.linspace(lo[rows, i], hi[rows, i], size, axis=-1))
-                for i, size in enumerate(sizes)
-            ]
-            grid = [
-                axis.reshape((len(rows),) + (1,) * i + (-1,) + (1,) * (k - 1 - i))
-                for i, axis in enumerate(axes)
-            ]
-            omega_e, omega_o = (
-                functools.reduce(np.add, [t * row[c] for t, row in zip(grid, basis)])
-                for c in (0, 1)
+    for p, (qex, qey, qox, qoy) in enumerate(zip(*q_parts)):
+        sizes = [2 * n - 1 for n in counts[p].tolist()]
+        axes = [np.linspace(lo[p, i], hi[p, i], size) for i, size in enumerate(sizes)]
+        grid = np.meshgrid(*axes, indexing="ij")
+        omega_e, omega_o = (
+            functools.reduce(np.add, [t * row[c] for t, row in zip(grid, basis)])
+            for c in (0, 1)
+        )
+        integrand = (
+            filter_e.amplitude(omega_e)
+            * filter_o.amplitude(omega_o)
+            * mode_function(
+                TransverseWavevector(qx=qex, qy=qey),
+                omega_e,
+                TransverseWavevector(qx=qox, qy=qoy),
+                omega_o,
+                geom,
+                pump,
+                system.mode,
             )
-            qex, qey, qox, qoy = (part[rows] for part in q_parts)
-            integrand = (
-                filter_e.amplitude(omega_e)
-                * filter_o.amplitude(omega_o)
-                * mode_function(
-                    TransverseWavevector(qx=qex, qy=qey),
-                    omega_e,
-                    TransverseWavevector(qx=qox, qy=qoy),
-                    omega_o,
-                    geom,
-                    pump,
-                    system.mode,
-                )
-            )
-            fine[rows] = _nested_trapezoid(integrand, axes)
-            magnitude[rows] = _nested_trapezoid(np.abs(integrand), axes)
-            coarse[rows] = _nested_trapezoid(integrand[even], [axis[:, ::2] for axis in axes])
+        )
+        fine[p] = _nested_trapezoid(integrand, axes)
+        magnitude[p] = _nested_trapezoid(np.abs(integrand), axes)
+        coarse[p] = _nested_trapezoid(integrand[even], [axis[::2] for axis in axes])
 
     if check_convergence:
         denom = np.maximum(np.abs(fine), 1e-9 * magnitude)
@@ -535,8 +509,8 @@ def spatial_biphoton(
     """Joint spatial amplitude at a detector-momentum pair, frequency traced out.
 
     ``method`` is ``"closed_form"`` (the default, for either mode) or
-    ``"quadrature"``, one batched ``integrate_quadrature`` call that serves
-    as the independent oracle; both broadcast over momentum arrays. Both
+    ``"quadrature"``, the ``integrate_quadrature`` trapezoid that serves as
+    the independent oracle; both broadcast over momentum arrays. Both
     closed forms read one Gram matrix of the integrand's linear term
     (``_trace_gram``). The Gaussian mode's is exact,
     exp(log|A|^2 / 2 + i phase) per point. The exact-sinc mode's is the
@@ -576,16 +550,15 @@ def biphoton_intensity(
     q_B: TransverseWavevector,
     system: OpticalSystem,
     assignment: DetectionAssignment,
-    method: str = "closed_form",
 ):
     """|spatial_biphoton|^2 at a detector-momentum pair; broadcasts like it.
 
-    In the Gaussian mode's closed form it is the exponential of
-    ``_log_intensity_quadratic``, in real arithmetic, so a cell underflows
-    to 0 only where |A|^2 does; otherwise ``np.abs(spatial_biphoton(...)) ** 2``.
+    In the Gaussian mode it is the exponential of ``_log_intensity_quadratic``,
+    in real arithmetic, so a cell underflows to 0 only where |A|^2 does;
+    otherwise ``np.abs(spatial_biphoton(...)) ** 2`` of the closed form.
     """
-    if method != "closed_form" or system.mode != MODE_GAUSSIAN_APPROX:
-        return np.abs(spatial_biphoton(q_A, q_B, system, assignment, method=method)) ** 2
+    if system.mode != MODE_GAUSSIAN_APPROX:
+        return np.abs(spatial_biphoton(q_A, q_B, system, assignment)) ** 2
     mismatches = _mismatches(q_A, q_B, assignment, system.geometry)
     return np.exp(_log_intensity(_log_intensity_quadratic(system), *mismatches))
 

@@ -97,6 +97,14 @@ def test_exact_sinc_quadrature_scan_runs(system):
     assert summarize(dist).pearson > 0.0
 
 
+@pytest.mark.parametrize("mode", [MODE_GAUSSIAN_APPROX, "exact_sinc"])
+def test_run_scan_rejects_an_unknown_method(system, mode):
+    system = replace(system, mode=mode)
+    plan = auto_plan("y", EA, system, 8)
+    with pytest.raises(ValueError, match="method"):
+        run_scan(plan, system, method="simpson")
+
+
 # ---------------------------------------------------------------- auto window
 
 def test_auto_window_follows_orthogonal_offset(system):
@@ -491,7 +499,9 @@ def meshgrid_scan_values(plan, system, method="closed_form"):
     ]
     grid_a, grid_b = np.meshgrid(*momenta, indexing="ij")
     q_A, q_B = _momentum_pair(plan.axis, plan.assignment, plan.orthogonal, system, grid_a, grid_b)
-    return biphoton_intensity(q_A, q_B, system, plan.assignment, method=method)
+    if method == "closed_form":
+        return biphoton_intensity(q_A, q_B, system, plan.assignment)
+    return np.abs(spatial_biphoton(q_A, q_B, system, plan.assignment, method=method)) ** 2
 
 
 @pytest.mark.parametrize("orthogonal", [0.0, 1e-3])
@@ -739,3 +749,12 @@ def test_distribution_validation():
         synthetic_distribution(np.zeros((8, 8)), u, u)
     with pytest.raises(ValueError, match="shape"):
         synthetic_distribution(np.ones((8, 7)), u, u)
+
+
+@pytest.mark.parametrize("name", ["momenta_a", "momenta_b"])
+def test_distribution_rejects_momenta_that_miss_their_positions(name):
+    # summarize pairs each momentum with its positions' row or column of values
+    u = np.linspace(-1.0, 1.0, 4)
+    good = synthetic_distribution(np.ones((4, 4)), u, u)
+    with pytest.raises(ValueError, match=name):
+        replace(good, **{name: u[:3]})

@@ -3,6 +3,7 @@ import re
 
 import numpy as np
 import pytest
+import yaml
 
 from spdcsim.dispersion import (
     C_LIGHT,
@@ -10,6 +11,7 @@ from spdcsim.dispersion import (
     SellmeierModel,
     UniaxialCrystal,
     WavelengthRangeError,
+    builtin_material_path,
     group_slowness,
     index_extraordinary,
     index_ordinary,
@@ -288,6 +290,36 @@ def test_material_file_wrong_coefficient_count(tmp_path):
     )
     with pytest.raises(MaterialFileError, match="coefficients"):
         load_material(path)
+
+
+def _bbo_copy(tmp_path, key, value):
+    """A copy of the shipped BBO data file with ``key`` set to ``value``."""
+    raw = yaml.safe_load(builtin_material_path("bbo").read_text())
+    raw[key] = value
+    path = tmp_path / "bbo.yaml"
+    path.write_text(yaml.safe_dump(raw))
+    return path
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("valid_range_um", "12"),
+        ("ordinary_coeffs", "2746"),
+        ("valid_range_um", [True, 3]),
+        ("extraordinary_coeffs", [BBO_E[0], math.inf, *BBO_E[2:]]),
+    ],
+    ids=["range-string", "coeffs-string", "range-bool", "coeff-inf"],
+)
+def test_material_numbers_must_be_sequences_of_finite_numbers(tmp_path, key, value):
+    with pytest.raises(MaterialFileError, match=key):
+        load_material(_bbo_copy(tmp_path, key, value))
+
+
+def test_material_numbers_accept_ints(tmp_path):
+    model = load_material(_bbo_copy(tmp_path, "valid_range_um", [1, 2]))
+    assert model.valid_range_um == (1.0, 2.0)
+    assert model.ordinary_coeffs == BBO_O
 
 
 def test_missing_material_file():

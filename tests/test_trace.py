@@ -282,7 +282,7 @@ def test_exact_sinc_default_is_the_depth_closed_form(system):
     assert np.all(np.abs(closed - quad) <= 1e-8 * np.abs(quad))
 
 
-# ---------------------------------------------------------------- batched quadrature
+# ---------------------------------------------------------------- quadrature oracle
 
 def _reference_node_count(span, feature_scale, phase_rate, floor):
     n = floor
@@ -415,7 +415,7 @@ def test_oracle_support_basis_agrees_with_on_support(system, spectral_mode):
 
 @pytest.mark.parametrize("axis", ["y", "x"])
 @pytest.mark.parametrize("assignment", [EA, OA], ids=["ea", "oa"])
-def test_batched_quadrature_matches_pointwise_reference(sinc_system, axis, assignment):
+def test_quadrature_matches_pointwise_reference(sinc_system, axis, assignment):
     q_A, q_B = scan_momenta(sinc_system, axis, assignment, 16)
     expected, _, _ = reference_quadrature(q_A, q_B, sinc_system, assignment)
     actual = spatial_biphoton(q_A, q_B, sinc_system, assignment, method="quadrature")
@@ -423,7 +423,7 @@ def test_batched_quadrature_matches_pointwise_reference(sinc_system, axis, assig
     assert np.array_equal(actual, expected)
 
 
-def test_batched_quadrature_with_orthogonal_offset(sinc_system):
+def test_quadrature_with_orthogonal_offset(sinc_system):
     q_A, q_B = scan_momenta(sinc_system, "x", OA, 10, orthogonal=1e-3)
     assert np.all(q_A.qy != 0.0)
     expected, _, _ = reference_quadrature(q_A, q_B, sinc_system, OA)
@@ -431,20 +431,7 @@ def test_batched_quadrature_with_orthogonal_offset(sinc_system):
     assert np.array_equal(actual, expected)
 
 
-@pytest.mark.parametrize("chunk_cells", [trace_module.QUADRATURE_CHUNK_CELLS, 1500])
-def test_batched_quadrature_chunk_remainders(sinc_system, monkeypatch, chunk_cells):
-    q_A, q_B = scan_momenta(sinc_system, "y", EA, 8)
-    q_A = TransverseWavevector(qx=q_A.qx, qy=q_A.qy[:7, :])  # 7 x 8 = 56 points
-    q_B = TransverseWavevector(qx=q_B.qx, qy=q_B.qy[:7, :])
-    expected, _, counts = reference_quadrature(q_A, q_B, sinc_system, EA)
-    rows = {n: max(1, chunk_cells // math.prod(2 * c - 1 for c in n)) for n in counts}
-    assert any(counts.count(n) % rows[n] for n in rows)  # some chunk is partial
-    monkeypatch.setattr(trace_module, "QUADRATURE_CHUNK_CELLS", chunk_cells)
-    actual = spatial_biphoton(q_A, q_B, sinc_system, EA, method="quadrature")
-    assert np.array_equal(actual, expected)
-
-
-def test_batched_quadrature_mixes_node_count_groups(sinc_system):
+def test_quadrature_mixes_node_counts(sinc_system):
     q_A, q_B = scan_momenta(sinc_system, "y", EA, 12)
     expected, _, counts = reference_quadrature(q_A, q_B, sinc_system, EA, nodes=9)
     assert len(set(counts)) > 1
@@ -454,37 +441,39 @@ def test_batched_quadrature_mixes_node_count_groups(sinc_system):
     assert np.array_equal(actual, expected)
 
 
-def test_batched_quadrature_pulsed_grid(gaussian_pump_system):
+@pytest.mark.parametrize("nodes", [trace_module.DEFAULT_QUADRATURE_NODES, 9])
+def test_quadrature_pulsed_grid(gaussian_pump_system, nodes):
     pulsed = replace(gaussian_pump_system, mode="exact_sinc")
     qy = np.linspace(-2e4, 2e4, 4)
     q_A = TransverseWavevector(qx=3e3, qy=qy[:, np.newaxis])
     q_B = TransverseWavevector(qx=-1e3, qy=0.9 * qy[np.newaxis, :])
-    expected, _, _ = reference_quadrature(q_A, q_B, pulsed, OA)
-    actual = spatial_biphoton(q_A, q_B, pulsed, OA, method="quadrature")
+    expected, _, _ = reference_quadrature(q_A, q_B, pulsed, OA, nodes=nodes)
+    actual = integrate_quadrature(q_A, q_B, pulsed, OA, nodes=nodes, check_convergence=False)
     assert actual.shape == (4, 4)
     assert np.array_equal(actual, expected)
 
 
-def test_batched_quadrature_pulsed_chunks_hold_several_points(gaussian_pump_system, monkeypatch):
-    pulsed = replace(gaussian_pump_system, mode="exact_sinc")
-    qy = np.linspace(-2e4, 2e4, 4)
-    q_A = TransverseWavevector(qx=3e3, qy=qy[:, np.newaxis])
-    q_B = TransverseWavevector(qx=-1e3, qy=0.9 * qy[np.newaxis, :])
-    expected, _, counts = reference_quadrature(q_A, q_B, pulsed, OA, nodes=9)
-    monkeypatch.setattr(trace_module, "QUADRATURE_CHUNK_CELLS", 1 << 18)
-    for n in set(counts):
-        rows = (1 << 18) // math.prod(2 * c - 1 for c in n)
-        assert rows > 1 and counts.count(n) % rows  # several points, partial last chunk
-    actual = integrate_quadrature(q_A, q_B, pulsed, OA, nodes=9, check_convergence=False)
-    assert np.array_equal(actual, expected)
-
-
-def test_quadrature_scalar_input_returns_scalar(sinc_system):
-    q_A, q_B = qvec(qx=2e3, qy=1e4), qvec(qy=0.8e4)
+@pytest.mark.parametrize(
+    "q_A, q_B, shape",
+    [
+        (qvec(qx=2e3, qy=1e4), qvec(qy=0.8e4), ()),
+        (qvec(qy=np.linspace(-1e4, 1e4, 5)), qvec(qx=2e3, qy=0.8e4), (5,)),
+        (
+            qvec(qx=2e3, qy=np.linspace(-1e4, 1e4, 3)[:, np.newaxis]),
+            qvec(qx=-1e3, qy=np.linspace(-0.8e4, 0.8e4, 4)[np.newaxis, :]),
+            (3, 4),
+        ),
+        (qvec(qy=np.empty(0)), qvec(qy=0.8e4), (0,)),
+    ],
+    ids=["scalar", "vector-scalar", "column-row", "empty"],
+)
+def test_quadrature_returns_the_broadcast_shape(sinc_system, q_A, q_B, shape):
     value = integrate_quadrature(q_A, q_B, sinc_system, EA)
-    assert np.ndim(value) == 0 and isinstance(value, complex)
+    assert np.shape(value) == shape
+    if not shape:
+        assert isinstance(value, complex)
     expected, _, _ = reference_quadrature(q_A, q_B, sinc_system, EA)
-    assert value == expected[()]
+    assert np.array_equal(value, expected)
 
 
 def _quadrature_warnings(record):
@@ -684,17 +673,10 @@ def test_intensity_keeps_the_zero_cells_of_wide_windows(system, waist, axis):
     assert np.max(np.abs(got[normal] - expected[normal]) / expected[normal]) <= 1e-12
 
 
-@pytest.mark.parametrize(
-    "mode, method",
-    [("exact_sinc", "closed_form"), ("exact_sinc", "quadrature"), ("gaussian_approx", "quadrature")],
-)
-def test_intensity_of_other_modes_and_methods_is_amplitude_squared(system, mode, method):
-    system = replace(system, mode=mode)
+def test_exact_sinc_intensity_is_amplitude_squared(sinc_system):
     q_A, q_B = qvec(qy=np.array([[-1e4], [1.2e4]])), qvec(qy=np.array([[0.9e4, 2e3]]))
-    expected = np.abs(spatial_biphoton(q_A, q_B, system, EA, method=method)) ** 2
-    assert np.array_equal(biphoton_intensity(q_A, q_B, system, EA, method=method), expected)
-    with pytest.raises(ValueError, match="method"):
-        biphoton_intensity(q_A, q_B, system, EA, method="simpson")
+    expected = np.abs(spatial_biphoton(q_A, q_B, sinc_system, EA)) ** 2
+    assert np.array_equal(biphoton_intensity(q_A, q_B, sinc_system, EA), expected)
 
 
 def divergent_gamma(system, defect):
