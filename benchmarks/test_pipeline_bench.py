@@ -1,8 +1,11 @@
 """Timing of the scan pipeline: assignment comparison, scans, the pinhole filter, waist sweeps.
 
-Run from the repository root (about 10 s on a 2-vCPU Xeon VM):
+Run from the repository root (about 10 s on a 2-vCPU Xeon VM), writing the
+run elsewhere and then appending its rows, tagged, to the committed file
+(``--benchmark-json BENCH_pipeline.json`` itself would replace its rows):
 
-    python -m pytest benchmarks/test_pipeline_bench.py --benchmark-json BENCH_pipeline.json
+    python -m pytest benchmarks/test_pipeline_bench.py --benchmark-json /tmp/run.json
+    python benchmarks/append_rows.py /tmp/run.json BENCH_pipeline.json --revision "..."
 
 Every row uses the default config, whose 2 mm pinhole is on. The rows are:
 
@@ -40,8 +43,9 @@ Every row uses the default config, whose 2 mm pinhole is on. The rows are:
   from the real quadratic log-intensity; ``six_point`` swaps in the
   central-difference oracle kept in ``tests/test_analysis.py``. The two
   windows must agree to 1e-12 relative.
-- ``cli_scan``: ``spdcsim scan`` on the default config at 512^2, run
-  in-process through ``cli.main``, writing the grid CSV and its summary.
+- ``cli_scan``: ``spdcsim scan`` on the default config at 256^2 and
+  512^2, run in-process through ``cli.main``, writing the grid CSV and its
+  summary.
   The summary's Pearson must be that of ``summarize(run_scan(...))`` on
   the same plan, to all its printed digits.
 
@@ -88,7 +92,7 @@ SWEEP_POINTS = 64
 SWEEP_WAISTS = np.linspace(31e-6, 500e-6, 40)  # m
 TRANSITION_TOL = 1e-6  # m
 AUTO_PLAN_POINTS = 64
-CLI_SCAN_POINTS = 512
+CLI_SCAN_POINTS = [256, 512]
 
 
 @pytest.fixture(scope="module")
@@ -233,18 +237,19 @@ def test_auto_plan(benchmark, run, monkeypatch, axis, moments):
         assert np.allclose(got, want, rtol=1e-12, atol=0.0)
 
 
-def test_cli_scan(benchmark, run, tmp_path):
-    benchmark.group = f"cli scan y {CLI_SCAN_POINTS}"
-    benchmark.extra_info["points"] = CLI_SCAN_POINTS**2
+@pytest.mark.parametrize("points", CLI_SCAN_POINTS)
+def test_cli_scan(benchmark, run, tmp_path, points):
+    benchmark.group = f"cli scan y {points}"
+    benchmark.extra_info["points"] = points**2
     config = tmp_path / "run.yaml"
-    config.write_text(f"scan:\n  points: {CLI_SCAN_POINTS}\n")
+    config.write_text(f"scan:\n  points: {points}\n")
     out = tmp_path / "grid.csv"
     code = benchmark.pedantic(
         cli.main, args=(["scan", "--config", str(config), "--out", str(out)],),
         rounds=5, warmup_rounds=1,
     )
     assert code == 0
-    plan = auto_plan("y", DetectionAssignment.E_AT_A, run.system, CLI_SCAN_POINTS)
+    plan = auto_plan("y", DetectionAssignment.E_AT_A, run.system, points)
     expected = summarize(run_scan(plan, run.system, pinhole_diameter=run.pinhole_diameter))
     lines = (tmp_path / "grid.csv.summary").read_text().splitlines()
     assert f"pearson: {cli.format_number(expected.pearson)}" in lines

@@ -1,8 +1,11 @@
 """Timing of the exact-sinc frequency trace: depth closed form and trapezoid oracle.
 
-Run from the repository root (about 30 s on a 2-vCPU Xeon VM):
+Run from the repository root (about 30 s on a 2-vCPU Xeon VM), writing the
+run elsewhere and then appending its rows, tagged, to the committed file
+(``--benchmark-json BENCH_quadrature.json`` itself would replace its rows):
 
-    python -m pytest benchmarks/test_quadrature_bench.py --benchmark-json BENCH_quadrature.json
+    python -m pytest benchmarks/test_quadrature_bench.py --benchmark-json /tmp/run.json
+    python benchmarks/append_rows.py /tmp/run.json BENCH_quadrature.json --revision "..."
 
 Each case times one call over the detector-momentum grid of an auto-window
 y scan of the default config in exact-sinc mode, with a CW pump or a

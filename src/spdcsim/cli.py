@@ -39,23 +39,132 @@ from .trace import DetectionAssignment, integrate_quadrature, spatial_biphoton
 # printf conversion of each kind of number: exponent, positional, non-finite
 _NUMBER_SPECS = np.array(["%.12e", "%.12g", "%r"], dtype=object)
 
+# Byte tables of the digit path. A value's text fills a 32-byte row, 0 where blank:
+# byte 0 the sign, 1-5 the integer digits with leading zeros blank, 6 the point,
+# 8-19 fraction digits 1-12, 20-23 fraction digits 13-16 or the exponent's first
+# four characters, and 24 the last digit of a three-digit exponent.
+_CHUNK_TEXT = np.indices((10,) * 4, np.uint8).reshape(4, -1).T.copy() + ord("0")
+# four fraction digits as one word: chunk c at c, and at 10_000 + c with trailing zeros blank
+_FRACTION = np.concatenate([
+    _CHUNK_TEXT,
+    _CHUNK_TEXT * np.logical_or.accumulate(_CHUNK_TEXT[:, ::-1] > ord("0"), axis=1)[:, ::-1],
+]).view(np.uint32).ravel()
+# bytes 0-7 for the integer part u (0 to 10_000): at u without the point, at 10_001 + u with it
+_units = np.arange(10_001)
+_head = np.zeros((2, 10_001, 8), np.uint8)
+_head[:, -1, 1] = ord("1")
+_head[:, :, 2:6] = _CHUNK_TEXT[_units % 10_000] * (
+    (_units[:, None] >= 10 ** np.arange(3, -1, -1)) | (np.arange(4) == 3)
+)
+_head[1, :, 6] = ord(".")
+_HEAD = _head.view(np.uint64).ravel()
+# bytes 20-27 of exponent e at e + 300
+_EXPONENT = np.frombuffer(
+    b"".join((b"e%+03d" % e).ljust(8, b"\0") for e in range(-300, 301)), np.uint32
+).reshape(-1, 2)
+# 10**k at 300 + k, correctly rounded as float() rounds a decimal literal
+_POW10 = np.array([float(f"1e{k}") for k in range(-300, 309)])
+_POW10_INT = 10 ** np.arange(8)
+
+
+def _percent_numbers(values) -> list[str]:
+    """Text of each value of a 1-D float array by printf-style ``%``, per kind of number."""
+    zero = values == 0
+    values = np.where(zero, 0.0, values)  # positional +0.0 prints as "0"
+    magnitude = np.abs(values)
+    kind = (zero | ((magnitude >= 1e-3) & (magnitude <= 1e4))).astype(np.intp)
+    kind[~np.isfinite(values)] = 2
+    # no formatted number holds a newline, so one %-format of the joined specs splits back
+    return ("\n".join(_NUMBER_SPECS[kind].tolist()) % tuple(values.tolist())).split("\n")
+
+
+def _number_bytes(values) -> np.ndarray:
+    """Text of every value by the rule of ``format_numbers``, as a (cells, width) uint8 matrix.
+
+    Each row holds one value's ASCII text at fixed columns, padded with 0;
+    columns that are 0 in every row are dropped. The digits come from integer
+    arithmetic. With p = 12 significant digits positional and 13 in exponent
+    form, and e = floor(log10|x|), the scaled value s = |x| * 10**(p - 1 - e)
+    rounds to the p-digit mantissa, whose four-digit chunks index byte tables.
+    ``%.12g``'s trailing zeros, and its point, are blanked chunk by chunk.
+
+    s carries two roundings of at most 2**-53 each, one in the table's
+    10**(p - 1 - e) and one in the product, so it is within 2.0001 * 2**-53 * s
+    of the exact scaled value, and within 2.3e-3 since s < 1e13. A cell goes to
+    printf-style ``%`` (``_percent_numbers``) when s lies within
+    delta = 2**-50 * s, four times that bound, of a half-integer; everywhere
+    else rint(s) is the correctly rounded mantissa that ``%`` prints. Cells go
+    to ``%`` too when the rounded s has not p digits (log10 was off by one at a
+    power of ten, or rounding carried into a new digit), and zeros, non-finite
+    values and magnitudes outside [1e-290, 1e290] always do.
+    """
+    x = np.asarray(values, dtype=float).ravel()
+    magnitude = np.abs(x)
+    in_range = (magnitude >= 1e-290) & (magnitude <= 1e290)
+    magnitude[~in_range] = 1.0
+    positional = (magnitude >= 1e-3) & (magnitude <= 1e4)
+    exponent = np.floor(np.log10(magnitude)).astype(np.intp)
+    scaled = magnitude * _POW10[312 - exponent - positional]
+    top = 1e13 - 9e12 * positional  # 10**p
+    mantissa = np.rint(scaled)
+    to_percent = ~in_range | (np.abs(scaled - np.floor(scaled) - 0.5) < scaled * 2.0**-50)
+    to_percent |= (scaled < top / 10) | (mantissa >= top)
+    mantissa[to_percent] = 0  # keeps every table index below in range
+    # 10**14 times the value (positional) or 100 times the mantissa (exponent form)
+    fixed = mantissa.astype(np.int64) * _POW10_INT[np.where(positional, exponent + 3, 2)]
+    whole = fixed // 10**14
+    fraction = (fixed - whole * 10**14) * 100  # 16 fraction digits
+    chunks = []
+    for scale in (10**12, 10**8, 10**4):
+        chunks.append(fraction // scale)
+        fraction -= chunks[-1] * scale
+    chunks.append(fraction)
+    cells = np.empty((x.size, 8), np.uint32)
+    blank = positional.copy()  # %.12g and every later chunk zero
+    for word, chunk in zip((5, 4, 3, 2), reversed(chunks)):
+        cells[:, word] = _FRACTION[chunk + 10_000 * blank]
+        blank &= chunk == 0
+    cells.view(np.uint64)[:, 0] = _HEAD[whole + 10_001 * ~blank]
+    cells[:, 6:] = 0
+    exponent_form = np.flatnonzero(~positional)
+    cells[exponent_form, 5:7] = _EXPONENT[exponent[exponent_form] + 300]
+    text = cells.view(np.uint8)
+    text[:, 0] = np.signbit(x) * np.uint8(ord("-"))
+    percent = np.flatnonzero(to_percent)
+    if percent.size:
+        text[percent] = 0
+        printed = np.array(_percent_numbers(x[percent]), dtype="S20")
+        # from the units column on, where the digit path's text lies too
+        text[percent, 5:25] = printed.view(np.uint8).reshape(-1, 20)
+    columns = cells.view(np.uint64).T
+    used = np.array([np.bitwise_or.reduce(column) for column in columns]).view(np.uint8)
+    return text[:, used > 0]
+
+
+def _text(block: np.ndarray) -> str:
+    """The ASCII text of a uint8 array with its 0 bytes dropped."""
+    return block.tobytes().translate(None, b"\0").decode("ascii")
+
+
+def _csv_text(cells: np.ndarray, columns: int) -> str:
+    """CSV lines of ``_number_bytes`` rows, ``columns`` to a line."""
+    rows = cells.reshape(len(cells) // columns, columns, cells.shape[1])
+    block = np.empty(rows.shape[:2] + (rows.shape[2] + 1,), np.uint8)
+    block[..., :-1] = rows
+    block[..., -1] = ord(",")
+    block[:, -1, -1] = ord("\n")
+    return _text(block)
+
 
 def format_numbers(values) -> list[str]:
-    """Locale-free text of every value, in one formatting call.
+    """Locale-free text of every value, from integer digit arithmetic.
 
     Twelve significant digits, positional inside [1e-3, 1e4] in magnitude and
     exponent outside it; ``0`` for either zero and ``repr`` for non-finite values.
+    Each value reads as printf-style ``%.12g``, ``%.12e`` or ``%r`` gives it
+    (``_number_bytes`` says how).
     """
-    flat = np.array(values, dtype=float).ravel()
-    if flat.size == 0:
-        return []
-    zero = flat == 0
-    flat[zero] = 0.0  # positional +0.0 prints as "0"
-    magnitude = np.abs(flat)
-    kind = (zero | ((magnitude >= 1e-3) & (magnitude <= 1e4))).astype(np.intp)
-    kind[~np.isfinite(flat)] = 2
-    # no formatted number holds a newline, so one %-format of the joined specs splits back
-    return ("\n".join(_NUMBER_SPECS[kind].tolist()) % tuple(flat.tolist())).split("\n")
+    return _csv_text(_number_bytes(values), 1).split("\n")[:-1]
 
 
 def format_number(value: float) -> str:
@@ -106,22 +215,42 @@ def _write(path, lines, blocks=()) -> None:
 
 def _csv_rows(table) -> str:
     """CSV text of a 2-D numeric table, one line per row."""
-    rows, columns = np.shape(table)
-    return ((",".join(["%s"] * columns) + "\n") * rows) % tuple(format_numbers(table))
+    return _csv_text(_number_bytes(table), np.shape(table)[1])
+
+
+# grid cells per block of CSV text: a block's memory does not grow with the grid
+_BLOCK_CELLS = 2**14
 
 
 def _grid_rows(dist):
-    """CSV blocks of a scan grid, one per A position; each axis value is formatted once."""
+    """CSV text of a scan grid, in blocks of whole A rows of about ``_BLOCK_CELLS`` cells.
+
+    Each axis is formatted once. A block is one (rows, N_B, width) byte array
+    whose lines hold x_A, x_B, q_A, q_B and S at fixed columns, 0-padded, with
+    their commas and newline; its text is that array with the 0 bytes dropped.
+    """
     x_a, x_b, q_a, q_b = (
-        format_numbers(axis)
+        _number_bytes(axis)
         for axis in (dist.positions_a, dist.positions_b, dist.momenta_a, dist.momenta_b)
     )
-    fields = [None] * (3 * len(x_b))
-    fields[0::3] = x_b
-    fields[1::3] = q_b
-    for position, momentum, row in zip(x_a, q_a, dist.values):
-        fields[2::3] = format_numbers(row)
-        yield (f"{position},%s,{momentum},%s,%s\n" * len(x_b)) % tuple(fields)
+    n_b = len(x_b)
+    # the column after each axis field's comma
+    ends = np.cumsum([field.shape[1] + 1 for field in (x_a, x_b, q_a, q_b)])
+    step = max(1, _BLOCK_CELLS // n_b)
+    for start in range(0, len(x_a), step):
+        rows = slice(start, start + step)
+        values = _number_bytes(dist.values[rows])
+        line = np.zeros((n_b, ends[-1] + values.shape[1] + 1), np.uint8)
+        line[:, ends[0] : ends[1] - 1] = x_b
+        line[:, ends[2] : ends[3] - 1] = q_b
+        line[:, ends - 1] = ord(",")
+        line[:, -1] = ord("\n")
+        block = np.empty((len(values) // n_b, *line.shape), np.uint8)
+        block[:] = line
+        block[:, :, : ends[0] - 1] = x_a[rows, np.newaxis]
+        block[:, :, ends[1] : ends[2] - 1] = q_a[rows, np.newaxis]
+        block[:, :, ends[3] : -1] = values.reshape(len(block), n_b, -1)
+        yield _text(block)
 
 
 def cmd_scan(args) -> int:
@@ -139,14 +268,17 @@ def cmd_scan(args) -> int:
     ]
     _write(args.out, header, _grid_rows(dist))
 
+    pearson, angle, peak_a, peak_b = format_numbers(
+        [summary.pearson, math.degrees(summary.principal_angle), *summary.peak]
+    )
     summary_lines = [
         f"# config_digest={run.digest}",
         f"axis: {plan.axis}",
         f"assignment: {plan.assignment.value}",
-        f"pearson: {format_number(summary.pearson)}",
-        f"principal_angle_deg: {format_number(math.degrees(summary.principal_angle))}",
-        f"peak_q_a: {format_number(summary.peak[0])}",
-        f"peak_q_b: {format_number(summary.peak[1])}",
+        f"pearson: {pearson}",
+        f"principal_angle_deg: {angle}",
+        f"peak_q_a: {peak_a}",
+        f"peak_q_b: {peak_b}",
     ]
     _write(str(args.out) + ".summary", summary_lines)
     print(

@@ -1,14 +1,15 @@
 import math
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spdcsim import default_config, resolve
-from spdcsim.analysis import auto_plan, run_scan
-from spdcsim.cli import _plan_from, format_number, format_numbers, main
+from spdcsim import cli, default_config, resolve
+from spdcsim.analysis import JointDistribution, auto_plan, run_scan
+from spdcsim.cli import _grid_rows, _plan_from, format_number, format_numbers, main
 from spdcsim.config import load_config
 from spdcsim.trace import DetectionAssignment
 
@@ -86,6 +87,81 @@ def test_format_numbers_on_edge_values():
     assert format_numbers(EDGE_VALUES) == [reference_number(v) for v in EDGE_VALUES]
     assert format_numbers(np.reshape(EDGE_VALUES[:4], (2, 2))) == ["0", "0", "nan", "inf"]
     assert format_numbers([]) == []
+
+
+def percent_path_targets(rng, size):
+    """``size`` values, a quarter of each kind, with random signs, aimed at the
+    cells the digit path leaves to ``%``: scaled values within 1e-3 of a
+    half-integer at 12 digits (positional) and at 13 digits (exponent form,
+    mostly with three-digit exponents), 10**k and its float neighbours for k in
+    [-308, 308], and subnormals."""
+    part = size // 4
+    positional = (
+        (rng.integers(10**11, 10**12, part) + 0.5 + rng.uniform(-1e-3, 1e-3, part))
+        * 10.0 ** (rng.integers(-3, 4, part) - 11)
+    )
+    exponent = rng.choice(np.r_[-300:-3, 4:301], part)
+    exponent_form = (
+        (rng.integers(10**12, 10**13, part) + 0.5 + rng.uniform(-1e-3, 1e-3, part)) * 1e-12
+    ) * 10.0**exponent
+    decade = 10.0 ** rng.integers(-308, 309, part)
+    decade = np.nextafter(decade, decade * rng.choice([0.0, 1.0, math.inf], part))
+    subnormal = rng.uniform(0.0, SMALLEST_NORMAL, size - 3 * part)
+    values = np.concatenate([positional, exponent_form, decade, subnormal])
+    return values * rng.choice([-1.0, 1.0], size)
+
+
+@settings(max_examples=10, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_format_numbers_near_the_percent_path(seed):
+    values = percent_path_targets(np.random.default_rng(seed), 4096)
+    with mock.patch.object(cli, "_percent_numbers", wraps=cli._percent_numbers) as percent:
+        text = format_numbers(values)
+    assert text == [reference_number(v) for v in values]
+    # both paths write cells: every subnormal goes to %, and about 1100 of
+    # the other values do not
+    sent = sum(len(call.args[0]) for call in percent.call_args_list)
+    assert 1024 <= sent <= 4096 - 512
+
+
+def test_grid_text_matches_per_value_rows_over_blocks():
+    # a grid with every kind of number on its axes and values, and a last
+    # block that holds fewer rows than the others
+    rng = np.random.default_rng(20261019)
+    n_b = 200
+    n_a = cli._BLOCK_CELLS // n_b + 9
+    positions_a = np.linspace(-3e-3, 3e-3, n_a)
+    positions_a[n_a // 2] = 0.0
+    momenta_a = np.linspace(-5e4, 5e4, n_a)
+    momenta_a[n_a // 3] = -0.0
+    positions_b = np.r_[-1e-7, np.linspace(-8e-3, 8e-3, n_b - 2), 2.5e-4]
+    momenta_b = np.linspace(-2e3, 2e5, n_b)
+    kinds = [
+        np.zeros(n_a * n_b),
+        rng.uniform(0.0, 1.0, n_a * n_b),
+        10 ** rng.uniform(-320, -3, n_a * n_b),
+        rng.integers(1, 9, n_a * n_b) / 8,
+        percent_path_targets(rng, n_a * n_b),
+    ]
+    values = np.abs(np.choose(rng.integers(0, len(kinds), n_a * n_b), kinds))
+    values[0] = 1.0
+    dist = JointDistribution(
+        axis="y", assignment=DetectionAssignment.E_AT_A,
+        positions_a=positions_a, positions_b=positions_b,
+        momenta_a=momenta_a, momenta_b=momenta_b,
+        values=values.reshape(n_a, n_b),
+    )
+    blocks = list(_grid_rows(dist))
+    assert [block.count("\n") for block in blocks] == [(n_a - 9) * n_b, 9 * n_b]
+    expected = "".join(
+        ",".join(
+            reference_number(v)
+            for v in (positions_a[i], positions_b[j], momenta_a[i], momenta_b[j], dist.values[i, j])
+        ) + "\n"
+        for i in range(n_a)
+        for j in range(n_b)
+    )
+    assert "".join(blocks) == expected
 
 
 # ---------------------------------------------------------------- scan

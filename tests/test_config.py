@@ -125,6 +125,11 @@ def test_scan_range_forms(tmp_path):
         ("optics.pinhole_mm", "optics: {pinhole_mm: .nan}"),
         ("optics.pinhole_mm", "optics: {pinhole_mm: true}"),
         ("optics.pinhole_mm", "optics: {pinhole_mm: .inf}"),
+        pytest.param(
+            "optics.pinhole_mm",
+            "optics: {pinhole_mm: %s}" % ("1" * 400),
+            id="optics.pinhole_mm-400-digit-int",
+        ),
         ("scan.orthogonal_mm", "scan: {orthogonal_mm: abc}"),
         ("scan.orthogonal_mm", "scan: {orthogonal_mm: .nan}"),
         ("scan.range_mm", "scan: {range_mm: [a, 6]}"),

@@ -308,8 +308,9 @@ def _bbo_copy(tmp_path, key, value):
         ("ordinary_coeffs", "2746"),
         ("valid_range_um", [True, 3]),
         ("extraordinary_coeffs", [BBO_E[0], math.inf, *BBO_E[2:]]),
+        ("valid_range_um", [0.2, int("1" * 400)]),
     ],
-    ids=["range-string", "coeffs-string", "range-bool", "coeff-inf"],
+    ids=["range-string", "coeffs-string", "range-bool", "coeff-inf", "range-huge-int"],
 )
 def test_material_numbers_must_be_sequences_of_finite_numbers(tmp_path, key, value):
     with pytest.raises(MaterialFileError, match=key):
