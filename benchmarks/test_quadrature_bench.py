@@ -11,12 +11,12 @@ Each case times one call over the detector-momentum grid of an auto-window
 y scan of the default config in exact-sinc mode, with a CW pump or a
 0.5 nm Gaussian-spectrum pump. The rows of a case are:
 
-- ``depth``: ``spatial_biphoton``'s default closed form, summed over
+- ``depth``: ``spatial_biphoton``, the exact-sinc closed form summed over
   crystal depth. It must match the trapezoid to 1e-8 relative at every
   point of an 8^2 subgrid (every points/8-th row and column).
-- ``quadrature``: ``spatial_biphoton(..., method="quadrature")``, the
-  trapezoid oracle, one rule for both pumps on a tensor grid over the
-  pump's frequency support, integrated one point at a time. It must equal
+- ``quadrature``: ``integrate_quadrature``, the trapezoid oracle, one
+  rule for both pumps on a tensor grid over the pump's frequency support,
+  integrated one point at a time. It must equal
   ``reference_quadrature`` of ``tests/test_trace.py``, a separate
   statement of the rule, bit for bit.
 
@@ -76,8 +76,7 @@ def test_exact_sinc_trace(benchmark, case, path):
     benchmark.extra_info["points"] = points * points
     if path == "quadrature":
         amplitude = benchmark.pedantic(
-            spatial_biphoton, args=(q_A, q_B, system, EA),
-            kwargs={"method": "quadrature"}, rounds=rounds, warmup_rounds=1,
+            integrate_quadrature, args=(q_A, q_B, system, EA), rounds=rounds, warmup_rounds=1,
         )
         expected, _, _ = reference_quadrature(q_A, q_B, system, EA)
         assert np.array_equal(amplitude, expected)

@@ -43,7 +43,6 @@ from .trace import (
     QuadratureAccuracyWarning,
     SpectralFilter,
     biphoton_intensity,
-    coincidence_rate,
     integrate_quadrature,
     pinhole_smooth,
     spatial_biphoton,

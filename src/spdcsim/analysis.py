@@ -161,15 +161,14 @@ def run_scan(
     *,
     pinhole_diameter: float = 0.0,
     normalize: bool = True,
-    method: str = "closed_form",
 ) -> JointDistribution:
     """Evaluate the coincidence rate over the plan's Cartesian position grid.
 
     In the Gaussian mode's closed form the log-intensity is an exact
     quadratic in the scan momenta, so the rates are one exponential of two
     length-N terms and one N x N outer product (``_gaussian_scan_rates``).
-    Every other mode and method takes ``np.abs(spatial_biphoton(...)) ** 2``
-    on broadcast momentum axes.
+    The exact-sinc mode takes ``np.abs(spatial_biphoton(...)) ** 2`` on
+    broadcast momentum axes.
     """
     positions_a = np.linspace(plan.range_a[0], plan.range_a[1], plan.points)
     positions_b = np.linspace(plan.range_b[0], plan.range_b[1], plan.points)
@@ -178,7 +177,7 @@ def run_scan(
     momenta_a = fourier.position_to_momentum(positions_a, lam_a)
     momenta_b = fourier.position_to_momentum(positions_b, lam_b)
 
-    if method == "closed_form" and system.mode == MODE_GAUSSIAN_APPROX:
+    if system.mode == MODE_GAUSSIAN_APPROX:
         values, (q_A, q_B) = _gaussian_scan_rates(plan, system, momenta_a, momenta_b)
     else:
         # column and row axes broadcast to the grid in every elementwise trace step
@@ -186,7 +185,7 @@ def run_scan(
             plan.axis, plan.assignment, plan.orthogonal, system,
             momenta_a[:, np.newaxis], momenta_b[np.newaxis, :],
         )
-        values = np.abs(spatial_biphoton(q_A, q_B, system, plan.assignment, method=method)) ** 2
+        values = np.abs(spatial_biphoton(q_A, q_B, system, plan.assignment)) ** 2
     q_A.check_paraxial(lam_a)
     q_B.check_paraxial(lam_b)
 

@@ -112,7 +112,7 @@ def _build_section(name: str, cls, raw: dict):
     known = set(defaults.__dataclass_fields__)
     unknown = set(raw) - known
     if unknown:
-        raise ConfigError(f"unknown key {sorted(unknown)[0]!r} in section {name!r}")
+        raise ConfigError(f"unknown key {min(unknown, key=str)!r} in section {name!r}")
     merged = {**asdict(defaults), **raw}
     if name == "scan" and merged["range_mm"] == "auto":
         merged["range_mm"] = None
@@ -229,10 +229,12 @@ def load_config(path) -> RunConfig:
         raise ConfigError(f"{path}: expected a mapping at top level")
     unknown = set(raw) - (set(_SECTIONS) | {"mode"})
     if unknown:
-        raise ConfigError(f"unknown top-level key {sorted(unknown)[0]!r}")
+        raise ConfigError(f"unknown top-level key {min(unknown, key=str)!r}")
     sections = {}
     for name, cls in _SECTIONS.items():
-        body = raw.get(name) or {}
+        body = raw.get(name)
+        if body is None:  # an empty section means its defaults
+            body = {}
         if not isinstance(body, dict):
             raise ConfigError(f"section {name!r} must be a mapping")
         sections[name] = _build_section(name, cls, body)

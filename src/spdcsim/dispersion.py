@@ -163,7 +163,7 @@ def load_material(source) -> SellmeierModel:
         raise MaterialFileError(f"{path}: expected a mapping at top level")
     unknown = set(raw) - _REQUIRED_KEYS
     if unknown:
-        raise MaterialFileError(f"{path}: unknown keys {sorted(unknown)}")
+        raise MaterialFileError(f"{path}: unknown keys {sorted(unknown, key=str)}")
     missing = _REQUIRED_KEYS - set(raw)
     if missing:
         raise MaterialFileError(f"{path}: missing keys {sorted(missing)}")

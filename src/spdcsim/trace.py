@@ -423,14 +423,13 @@ def integrate_quadrature(
 ):
     """Direct trapezoid evaluation of the frequency trace at momentum pairs.
 
-    This is ``spatial_biphoton(..., method="quadrature")``, the independent
-    oracle for both closed forms. It evaluates the mode function of
-    ``system.mode`` and broadcasts over momentum arrays: a scalar pair
-    returns a complex scalar, arrays return an array of their broadcast
-    shape. The trace runs over a tensor grid on the pump's support, one
-    axis for a CW pump and two for a pulsed one, mapped to the detunings
-    through ``_SUPPORT_BASIS``, and integrates one point per loop
-    iteration. On each axis a point's window reaches
+    The independent oracle for both closed forms of ``spatial_biphoton``.
+    It evaluates the mode function of ``system.mode`` and broadcasts over
+    momentum arrays: a scalar pair returns a complex scalar, arrays return
+    an array of their broadcast shape. The trace runs over a tensor grid on
+    the pump's support, one axis for a CW pump and two for a pulsed one,
+    mapped to the detunings through ``_SUPPORT_BASIS``, and integrates one
+    point per loop iteration. On each axis a point's window reaches
     QUADRATURE_WINDOW_SIGMAS widths of both the filters alone and the
     shifted product Gaussian of the Gaussian-approximated form, both taken
     on the support by ``_on_support``, and its node count n is raised above
@@ -504,26 +503,20 @@ def spatial_biphoton(
     q_B: TransverseWavevector,
     system: OpticalSystem,
     assignment: DetectionAssignment,
-    method: str = "closed_form",
 ):
     """Joint spatial amplitude at a detector-momentum pair, frequency traced out.
 
-    ``method`` is ``"closed_form"`` (the default, for either mode) or
-    ``"quadrature"``, the ``integrate_quadrature`` trapezoid that serves as
-    the independent oracle; both broadcast over momentum arrays. Both
-    closed forms read one Gram matrix of the integrand's linear term
-    (``_trace_gram``). The Gaussian mode's is exact,
-    exp(log|A|^2 / 2 + i phase) per point. The exact-sinc mode's is the
-    crystal-depth average of ``_trace_exact_sinc``, whose Gauss-Legendre sum
-    is checked against half its nodes (see ``depth_average``).
+    The closed form of either mode; it broadcasts over momentum arrays, and
+    ``integrate_quadrature`` is its independent oracle. Both closed forms
+    read one Gram matrix of the integrand's linear term (``_trace_gram``).
+    The Gaussian mode's is exact, exp(log|A|^2 / 2 + i phase) per point. The
+    exact-sinc mode's is the crystal-depth average of ``_trace_exact_sinc``,
+    whose Gauss-Legendre sum is checked against half its nodes (see
+    ``depth_average``).
     """
-    if method == "closed_form":
-        if system.mode != MODE_GAUSSIAN_APPROX:
-            return _trace_exact_sinc(q_A, q_B, system, assignment)
-        return _gaussian_amplitude(q_A, q_B, system, assignment, SINC_GAUSSIAN_GAMMA)[0]
-    if method == "quadrature":
-        return integrate_quadrature(q_A, q_B, system, assignment)
-    raise ValueError(f"method must be 'closed_form' or 'quadrature', got {method!r}")
+    if system.mode != MODE_GAUSSIAN_APPROX:
+        return _trace_exact_sinc(q_A, q_B, system, assignment)
+    return _gaussian_amplitude(q_A, q_B, system, assignment, SINC_GAUSSIAN_GAMMA)[0]
 
 
 def _log_intensity_quadratic(system: OpticalSystem):
@@ -561,34 +554,6 @@ def biphoton_intensity(
         return np.abs(spatial_biphoton(q_A, q_B, system, assignment)) ** 2
     mismatches = _mismatches(q_A, q_B, assignment, system.geometry)
     return np.exp(_log_intensity(_log_intensity_quadratic(system), *mismatches))
-
-
-def coincidence_rate(
-    x_A,
-    x_B,
-    system: OpticalSystem,
-    assignment: DetectionAssignment,
-):
-    """|spatial biphoton|^2 at detector positions x_A, x_B (2-vectors, m).
-
-    Positions map to momenta through the Fourier-plane relation of each arm,
-    using the central wavelength of the photon that arm detects under the
-    given assignment. The rate is the closed form of
-    ``biphoton_intensity``. Always non-negative.
-    """
-    fourier = system.fourier
-    lam_a, lam_b = resolve_pair(fourier.wavelength_e, fourier.wavelength_o, assignment)
-    q_A = TransverseWavevector(
-        qx=fourier.position_to_momentum(x_A[0], lam_a),
-        qy=fourier.position_to_momentum(x_A[1], lam_a),
-    )
-    q_B = TransverseWavevector(
-        qx=fourier.position_to_momentum(x_B[0], lam_b),
-        qy=fourier.position_to_momentum(x_B[1], lam_b),
-    )
-    q_A.check_paraxial(lam_a)
-    q_B.check_paraxial(lam_b)
-    return biphoton_intensity(q_A, q_B, system, assignment)
 
 
 # Padded-grid cells smoothed per chunk of lines across the window axis; chunks
@@ -631,7 +596,8 @@ def pinhole_smooth(values: np.ndarray, steps, diameter: float) -> np.ndarray:
     and the maximum can only decrease. The circular convolution wraps mass
     near one edge of the window onto the opposite edge. That is a known
     defect, kept here (ROADMAP.md, open item "Grid statistics that converge
-    to the continuum"). ``diameter = 0`` returns an unsmoothed copy.
+    to the continuum"). ``diameter = 0`` returns an unsmoothed copy; a NaN,
+    infinite or negative diameter raises ValueError.
 
     Each axis is wrap-padded by ``taps`` nodes, and each width-(2 taps + 1)
     window sum is put together from power-of-two block sums
@@ -647,8 +613,8 @@ def pinhole_smooth(values: np.ndarray, steps, diameter: float) -> np.ndarray:
     grid = np.asarray(values, dtype=float)
     if grid.ndim != 2:
         raise ValueError("expected a 2-D scan grid")
-    if diameter < 0.0:
-        raise ValueError("pinhole diameter must be non-negative")
+    if not 0.0 <= diameter < math.inf:
+        raise ValueError(f"pinhole diameter must be finite and non-negative, got {diameter!r}")
     if diameter == 0.0:
         return grid.copy()
     out = grid

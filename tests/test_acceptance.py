@@ -24,13 +24,14 @@ from spdcsim import (
     mismatch_longitudinal,
     mismatch_transverse_y,
     mode_function,
-    run_scan,
     spatial_biphoton,
     summarize,
     waist_sweep,
 )
 from spdcsim.dispersion import index_extraordinary, walkoff_angle
 from spdcsim.kernel import MODE_EXACT_SINC, MODE_GAUSSIAN_APPROX
+
+from test_analysis import quadrature_scan
 
 EA = DetectionAssignment.E_AT_A
 
@@ -147,7 +148,7 @@ def test_criterion_5_oracle_equivalence(default_run):
         for qb in np.linspace(-2e4, 2e4, 5):
             q_A = TransverseWavevector(qx=0.0, qy=float(qa))
             q_B = TransverseWavevector(qx=0.0, qy=float(qb))
-            closed = spatial_biphoton(q_A, q_B, system, EA, method="closed_form")
+            closed = spatial_biphoton(q_A, q_B, system, EA)
             quad = integrate_quadrature(q_A, q_B, system, EA, check_convergence=False)
             worst_integral = max(worst_integral, abs(closed - quad) / abs(closed))
 
@@ -229,7 +230,7 @@ def test_criterion_6_sinc_approximation_contract(default_run):
         for mode in (MODE_GAUSSIAN_APPROX, MODE_EXACT_SINC):
             moded = replace(system, mode=mode)
             plan = auto_plan(axis, EA, moded, 24)
-            summary = summarize(run_scan(plan, moded, method="quadrature"))
+            summary = summarize(quadrature_scan(plan, moded))
             signs[(axis, mode)] = math.copysign(1.0, summary.pearson)
     signs_agree = all(
         signs[(axis, MODE_GAUSSIAN_APPROX)] == signs[(axis, MODE_EXACT_SINC)]

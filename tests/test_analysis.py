@@ -29,6 +29,7 @@ from spdcsim.trace import (
     DetectionAssignment,
     SpectralFilter,
     biphoton_intensity,
+    integrate_quadrature,
     resolve_pair,
     spatial_biphoton,
 )
@@ -97,14 +98,6 @@ def test_exact_sinc_quadrature_scan_runs(system):
     assert summarize(dist).pearson > 0.0
 
 
-@pytest.mark.parametrize("mode", [MODE_GAUSSIAN_APPROX, "exact_sinc"])
-def test_run_scan_rejects_an_unknown_method(system, mode):
-    system = replace(system, mode=mode)
-    plan = auto_plan("y", EA, system, 8)
-    with pytest.raises(ValueError, match="method"):
-        run_scan(plan, system, method="simpson")
-
-
 # ---------------------------------------------------------------- auto window
 
 def test_auto_window_follows_orthogonal_offset(system):
@@ -134,7 +127,7 @@ def test_model_moments_match_wide_fine_scan(system, axis):
         range_a=tuple(2.0 * np.asarray(auto.range_a) - np.mean(auto.range_a)),
         range_b=tuple(2.0 * np.asarray(auto.range_b) - np.mean(auto.range_b)),
     )
-    grid_pearson = summarize(run_scan(wide, system, method="closed_form")).pearson
+    grid_pearson = summarize(run_scan(wide, system)).pearson
     assert grid_pearson == pytest.approx(model_pearson, abs=1e-4)
 
 
@@ -150,7 +143,7 @@ def six_point_model_moments(axis, assignment, system, orthogonal=0.0):
     q_b = np.array([0.0, 0.0, 0.0, h, -h, h])
     q_A, q_B = _momentum_pair(axis, assignment, orthogonal, system, q_a, q_b)
     model = replace(system, mode=MODE_GAUSSIAN_APPROX)
-    amplitude = spatial_biphoton(q_A, q_B, model, assignment, method="closed_form")
+    amplitude = spatial_biphoton(q_A, q_B, model, assignment)
     e00, ep0, em0, e0p, e0m, epp = 2.0 * np.log(np.abs(amplitude))
     gradient = np.array([ep0 - em0, e0p - e0m]) / (2.0 * h)
     cross = -(epp - ep0 - e0p + e00)
@@ -399,14 +392,12 @@ def test_summarize_matches_reference_on_scans(system, axis, pinhole):
 
 # ---------------------------------------------------------------- sensitivity
 
-def reference_assignment_sensitivity(
-    axis, system, points=64, *, pinhole_diameter=0.0, method="closed_form"
-):
+def reference_assignment_sensitivity(axis, system, points=64, *, pinhole_diameter=0.0):
     """Both assignments scanned and summarized separately: an auto window and a scan each."""
     summaries = {}
     for assignment in DetectionAssignment:
         plan = auto_plan(axis, assignment, system, points)
-        dist = run_scan(plan, system, pinhole_diameter=pinhole_diameter, method=method)
+        dist = run_scan(plan, system, pinhole_diameter=pinhole_diameter)
         summaries[assignment] = summarize(dist)
     return (
         summaries[EA].pearson,
@@ -489,19 +480,43 @@ def test_oa_statistics_from_ea_covariance_match_relabelled_summary(kind, mode, a
     assert comp.angle_oa == pytest.approx(oracle.principal_angle, rel=1e-15, abs=0.0)
 
 
-def meshgrid_scan_values(plan, system, method="closed_form"):
-    """Intensities of a scan traced on full N x N meshgrids of detector momenta."""
+def plan_axes(plan, system):
+    """Detector positions and momenta along a plan's two axes, as ``run_scan`` lays them out."""
     fourier = system.fourier
     wavelengths = resolve_pair(fourier.wavelength_e, fourier.wavelength_o, plan.assignment)
-    momenta = [
-        fourier.position_to_momentum(np.linspace(*rng, plan.points), lam)
-        for lam, rng in zip(wavelengths, (plan.range_a, plan.range_b))
-    ]
-    grid_a, grid_b = np.meshgrid(*momenta, indexing="ij")
+    positions = [np.linspace(*rng, plan.points) for rng in (plan.range_a, plan.range_b)]
+    momenta = [fourier.position_to_momentum(x, lam) for x, lam in zip(positions, wavelengths)]
+    return positions, momenta
+
+
+def meshgrid_scan_values(plan, system):
+    """Intensities of a scan traced on full N x N meshgrids of detector momenta."""
+    grid_a, grid_b = np.meshgrid(*plan_axes(plan, system)[1], indexing="ij")
     q_A, q_B = _momentum_pair(plan.axis, plan.assignment, plan.orthogonal, system, grid_a, grid_b)
-    if method == "closed_form":
-        return biphoton_intensity(q_A, q_B, system, plan.assignment)
-    return np.abs(spatial_biphoton(q_A, q_B, system, plan.assignment, method=method)) ** 2
+    return biphoton_intensity(q_A, q_B, system, plan.assignment)
+
+
+def quadrature_scan(plan, system):
+    """The trapezoid oracle's scan grid, divided by its peak.
+
+    Momenta are laid out as ``run_scan`` lays them out, on broadcast axes
+    through ``_momentum_pair``, and each cell is |``integrate_quadrature``|^2.
+    """
+    positions, momenta = plan_axes(plan, system)
+    q_A, q_B = _momentum_pair(
+        plan.axis, plan.assignment, plan.orthogonal, system,
+        momenta[0][:, np.newaxis], momenta[1][np.newaxis, :],
+    )
+    values = np.abs(integrate_quadrature(q_A, q_B, system, plan.assignment)) ** 2
+    return JointDistribution(
+        axis=plan.axis,
+        assignment=plan.assignment,
+        positions_a=positions[0],
+        positions_b=positions[1],
+        momenta_a=momenta[0],
+        momenta_b=momenta[1],
+        values=values / values.max(),
+    )
 
 
 @pytest.mark.parametrize("orthogonal", [0.0, 1e-3])
@@ -552,8 +567,11 @@ def test_gaussian_scan_rates_keep_the_zero_cells_of_8x_windows(kind, axis):
 def test_quadrature_scan_on_broadcast_axes_matches_meshgrid_trace_bitwise(system):
     system = replace(system, mode="exact_sinc")
     plan = auto_plan("x", EA, system, 10, orthogonal=1e-3)
-    dist = run_scan(plan, system, normalize=False, method="quadrature")
-    assert np.array_equal(dist.values, meshgrid_scan_values(plan, system, method="quadrature"))
+    dist = quadrature_scan(plan, system)
+    grid_a, grid_b = np.meshgrid(dist.momenta_a, dist.momenta_b, indexing="ij")
+    q_A, q_B = _momentum_pair(plan.axis, EA, plan.orthogonal, system, grid_a, grid_b)
+    values = np.abs(integrate_quadrature(q_A, q_B, system, EA)) ** 2
+    assert np.array_equal(dist.values, values / values.max())
 
 
 @pytest.mark.parametrize("pinhole", [0.0, PINHOLE])

@@ -13,6 +13,8 @@ from spdcsim.cli import _grid_rows, _plan_from, format_number, format_numbers, m
 from spdcsim.config import load_config
 from spdcsim.trace import DetectionAssignment
 
+from test_analysis import quadrature_scan
+
 FAST_CONFIG = "scan:\n  points: 16\n"
 
 
@@ -258,7 +260,7 @@ def test_exact_sinc_golden_grid_matches_quadrature_oracle():
     golden = Path(__file__).parent / "data" / "golden"
     run = resolve(load_config(golden / "exact_sinc.yaml"))
     plan = _plan_from(run)
-    oracle = run_scan(plan, run.system, method="quadrature").values
+    oracle = quadrature_scan(plan, run.system).values
     values = np.loadtxt(golden / "exact_sinc.csv", delimiter=",", comments="#")[:, 4]
     assert values.shape == (plan.points**2,)
     assert np.max(np.abs(values - oracle.ravel())) <= 1e-8 * values.max()

@@ -85,6 +85,30 @@ def test_unknown_key_rejected(tmp_path):
         load_config(path)
 
 
+@pytest.mark.parametrize("text", ["pump: []\n", "pump: 0\n", "optics: false\n", "scan: y\n"])
+def test_a_section_that_is_not_a_mapping_is_rejected(tmp_path, text):
+    name = text.split(":")[0]
+    with pytest.raises(ConfigError, match=f"section '{name}' must be a mapping"):
+        load_config(write(tmp_path, text))
+
+
+def test_a_null_section_means_its_defaults(tmp_path):
+    config = load_config(write(tmp_path, "pump:\noptics:\n"))
+    assert config == default_config()
+    assert resolve(config).digest == resolve(default_config()).digest
+
+
+def test_unknown_section_keys_of_mixed_types_name_a_key(tmp_path):
+    path = write(tmp_path, "pump: {1: 2, foo: 3}\n")
+    with pytest.raises(ConfigError, match="unknown key 1 in section 'pump'"):
+        load_config(path)
+
+
+def test_unknown_top_level_keys_of_mixed_types_name_a_key(tmp_path):
+    with pytest.raises(ConfigError, match="unknown top-level key 1"):
+        load_config(write(tmp_path, "{1: 2, foo: 3}\n"))
+
+
 def test_parse_error_reports_line(tmp_path):
     path = write(tmp_path, "pump:\n  wavelength_nm: [407\n")
     with pytest.raises(ConfigError, match="line"):

@@ -274,6 +274,17 @@ def test_material_file_unknown_key(tmp_path):
         load_material(path)
 
 
+def test_material_file_unknown_keys_of_mixed_types_name_them(tmp_path):
+    path = tmp_path / "bad.yaml"
+    path.write_text(
+        "name: bad\nprovenance: test\nformula_id: sqrt-abcd\n"
+        "valid_range_um: [0.3, 1.0]\nordinary_coeffs: [2.3, 0, 0.01, 0]\n"
+        "extraordinary_coeffs: [2.2, 0, 0.01, 0]\ntemperature_C: 20\n1: 2\n"
+    )
+    with pytest.raises(MaterialFileError, match=r"unknown keys \[1, 'temperature_C'\]"):
+        load_material(path)
+
+
 def test_material_file_missing_key(tmp_path):
     path = tmp_path / "bad.yaml"
     path.write_text("name: bad\nprovenance: test\nformula_id: sqrt-abcd\n")

@@ -26,7 +26,6 @@ from spdcsim.trace import (
     QuadratureAccuracyWarning,
     SpectralFilter,
     biphoton_intensity,
-    coincidence_rate,
     integrate_quadrature,
     pinhole_smooth,
     resolve_pair,
@@ -188,7 +187,7 @@ def test_closed_form_matches_quadrature_on_sample_grid(system):
     for qa in offsets:
         for qb in offsets:
             q_A, q_B = qvec(qy=float(qa)), qvec(qy=float(qb))
-            closed = spatial_biphoton(q_A, q_B, system, EA, method="closed_form")
+            closed = spatial_biphoton(q_A, q_B, system, EA)
             quad = integrate_quadrature(q_A, q_B, system, EA, check_convergence=False)
             assert abs(closed - quad) <= 1e-6 * abs(closed)
 
@@ -197,7 +196,7 @@ def test_closed_form_matches_quadrature_with_gaussian_pump(gaussian_pump_system)
     system = gaussian_pump_system
     for qa, qb in ((0.0, 0.0), (1.5e4, 1.1e4), (-2e4, 0.6e4)):
         q_A, q_B = qvec(qy=qa), qvec(qy=qb)
-        closed = spatial_biphoton(q_A, q_B, system, EA, method="closed_form")
+        closed = spatial_biphoton(q_A, q_B, system, EA)
         quad = integrate_quadrature(q_A, q_B, system, EA, check_convergence=False)
         assert abs(closed - quad) <= 1e-6 * abs(closed)
 
@@ -276,8 +275,8 @@ def test_exact_sinc_default_is_the_depth_closed_form(system):
     q_A = qvec(qx=2e3, qy=np.linspace(-2e4, 2e4, 5)[:, np.newaxis])
     q_B = qvec(qy=np.linspace(-2e4, 2e4, 5)[np.newaxis, :])
     default = spatial_biphoton(q_A, q_B, sinc_system, EA)
-    closed = spatial_biphoton(q_A, q_B, sinc_system, EA, method="closed_form")
-    quad = spatial_biphoton(q_A, q_B, sinc_system, EA, method="quadrature")
+    closed = trace_module._trace_exact_sinc(q_A, q_B, sinc_system, EA)
+    quad = integrate_quadrature(q_A, q_B, sinc_system, EA)
     assert np.array_equal(default, closed)
     assert np.all(np.abs(closed - quad) <= 1e-8 * np.abs(quad))
 
@@ -418,7 +417,7 @@ def test_oracle_support_basis_agrees_with_on_support(system, spectral_mode):
 def test_quadrature_matches_pointwise_reference(sinc_system, axis, assignment):
     q_A, q_B = scan_momenta(sinc_system, axis, assignment, 16)
     expected, _, _ = reference_quadrature(q_A, q_B, sinc_system, assignment)
-    actual = spatial_biphoton(q_A, q_B, sinc_system, assignment, method="quadrature")
+    actual = integrate_quadrature(q_A, q_B, sinc_system, assignment)
     assert actual.shape == (16, 16)
     assert np.array_equal(actual, expected)
 
@@ -427,7 +426,7 @@ def test_quadrature_with_orthogonal_offset(sinc_system):
     q_A, q_B = scan_momenta(sinc_system, "x", OA, 10, orthogonal=1e-3)
     assert np.all(q_A.qy != 0.0)
     expected, _, _ = reference_quadrature(q_A, q_B, sinc_system, OA)
-    actual = spatial_biphoton(q_A, q_B, sinc_system, OA, method="quadrature")
+    actual = integrate_quadrature(q_A, q_B, sinc_system, OA)
     assert np.array_equal(actual, expected)
 
 
@@ -491,7 +490,7 @@ def test_quadrature_warns_once_per_call_with_the_count(sinc_system):
     assert 0 < missed < 36
     with warnings.catch_warnings(record=True) as record:
         warnings.simplefilter("always")
-        spatial_biphoton(q_A, q_B, wide, EA, method="quadrature")
+        integrate_quadrature(q_A, q_B, wide, EA)
     (warning,) = _quadrature_warnings(record)
     assert f"at {missed} of 36 points" in str(warning.message)
     assert f"(worst {change.max():.2e})" in str(warning.message)
@@ -567,18 +566,24 @@ def test_depth_closed_form_matches_pulsed_trapezoid(pulsed_sinc_system, assignme
 
 # ---------------------------------------------------------------- rates
 
-def test_coincidence_rate_nonnegative_and_origin_peak(system):
-    rate0 = coincidence_rate((0.0, 0.0), (0.0, 0.0), system, EA)
-    assert rate0 > 0.0
-    rng = np.random.default_rng(24)
-    for _ in range(10):
-        x_a = rng.uniform(-3e-3, 3e-3, 2)
-        x_b = rng.uniform(-3e-3, 3e-3, 2)
-        assert coincidence_rate(x_a, x_b, system, EA) >= 0.0
+@pytest.mark.parametrize("axis", ["y", "x"])
+@pytest.mark.parametrize("mode", [MODE_GAUSSIAN_APPROX, "exact_sinc"])
+def test_run_scan_grid_is_nonnegative_with_a_positive_peak(system, mode, axis):
+    moded = replace(system, mode=mode)
+    plan = ScanPlan(
+        axis=axis, assignment=EA, range_a=(-3e-3, 3e-3), range_b=(-3e-3, 3e-3),
+        points=16, orthogonal=0.5e-3,
+    )
+    values = run_scan(plan, moded, normalize=False).values
+    assert np.all(values >= 0.0)
+    assert values.max() > 0.0
 
 
-def test_rate_invariant_under_consistent_unit_rescaling(system):
-    # express every length in km instead of m; the rate is dimensionless
+@pytest.mark.parametrize("mode", [MODE_GAUSSIAN_APPROX, "exact_sinc"])
+def test_rate_invariant_under_consistent_unit_rescaling(system, mode):
+    # express every length in km instead of m, scan ranges included; the
+    # normalized grid is dimensionless
+    system = replace(system, mode=mode)
     scale = 1e-3
     geom = system.geometry
     geom_scaled = SpdcGeometry(
@@ -616,12 +621,20 @@ def test_rate_invariant_under_consistent_unit_rescaling(system):
         fourier=fourier_scaled,
         mode=system.mode,
     )
-    for x_a, x_b in (((0.0, 1e-3), (0.0, 0.8e-3)), ((0.5e-3, -0.2e-3), (0.0, 0.0))):
-        si = coincidence_rate(x_a, x_b, system, EA)
-        km = coincidence_rate(
-            tuple(v * scale for v in x_a), tuple(v * scale for v in x_b), scaled, EA
+    for axis, orthogonal in (("y", 0.0), ("x", 0.5e-3)):
+        plan = ScanPlan(
+            axis=axis, assignment=EA, range_a=(-2e-3, 2e-3), range_b=(-1.5e-3, 2.5e-3),
+            points=8, orthogonal=orthogonal,
         )
-        assert km == pytest.approx(si, rel=1e-12)
+        plan_km = replace(
+            plan,
+            range_a=tuple(v * scale for v in plan.range_a),
+            range_b=tuple(v * scale for v in plan.range_b),
+            orthogonal=orthogonal * scale,
+        )
+        si = run_scan(plan, system).values
+        km = run_scan(plan_km, scaled).values
+        np.testing.assert_allclose(km, si, rtol=1e-12, atol=0.0)
 
 
 def window_momenta(system, axis, assignment, range_a, range_b, points, orthogonal=0.0):
@@ -741,6 +754,15 @@ def test_pinhole_larger_than_window_rejected():
     grid = np.ones((16, 16))
     with pytest.raises(ValueError, match="exceeds the scan span"):
         pinhole_smooth(grid, (1e-4, 1e-4), 1.0)
+
+
+@pytest.mark.parametrize("diameter", [math.nan, math.inf, -math.inf, -1e-4])
+def test_pinhole_rejects_a_diameter_that_is_not_finite_and_non_negative(system, diameter):
+    with pytest.raises(ValueError, match=rf"pinhole diameter .*got {diameter!r}"):
+        pinhole_smooth(np.ones((16, 16)), (1e-4, 1e-4), diameter)
+    plan = auto_plan("y", EA, system, 8)
+    with pytest.raises(ValueError, match="pinhole diameter"):
+        run_scan(plan, system, pinhole_diameter=diameter)
 
 
 def rolled_pinhole_reference(values, steps, diameter):
