@@ -46,6 +46,14 @@ def _all_finite(component) -> bool:
     return bool(np.isfinite(component).all())
 
 
+def _require_finite(instance, *labels) -> None:
+    """Raise ValueError naming the first of the fields ``labels`` that is not finite."""
+    for label in labels:
+        value = getattr(instance, label)
+        if not _all_finite(value):
+            raise ValueError(f"{label} must be finite, got {value!r}")
+
+
 @dataclass(frozen=True)
 class TransverseWavevector:
     """Transverse wavevector components (rad/m); scalar or array valued."""
@@ -92,6 +100,10 @@ class SpdcGeometry:
     crystal_length: float  # m
 
     def __post_init__(self):
+        _require_finite(
+            self, "walkoff_pump", "walkoff_e", "group_slowness_pump",
+            "group_slowness_e", "group_slowness_o", "crystal_length",
+        )
         if self.crystal_length <= 0.0:
             raise ValueError("crystal_length must be positive")
         for label in ("emission_angle_e", "emission_angle_o"):
@@ -120,6 +132,9 @@ class PumpEnvelope:
     spectral_sigma: float | None = None
 
     def __post_init__(self):
+        _require_finite(self, "waist_x", "waist_y")
+        if self.spectral_sigma is not None:
+            _require_finite(self, "spectral_sigma")
         if self.waist_x <= 0.0 or self.waist_y <= 0.0:
             raise ValueError("pump waists must be positive")
         if self.spectral_mode not in (SPECTRAL_MONOCHROMATIC, SPECTRAL_GAUSSIAN):

@@ -43,6 +43,7 @@ from .kernel import (
     PumpEnvelope,
     SpdcGeometry,
     TransverseWavevector,
+    _require_finite,
     mismatch_longitudinal,
     mismatch_transverse_x,
     mismatch_transverse_y,
@@ -94,6 +95,7 @@ class SpectralFilter:
     sigma: float  # rad/s, amplitude width
 
     def __post_init__(self):
+        _require_finite(self, "center_wavelength", "sigma")
         if self.sigma <= 0.0:
             raise ValueError("filter sigma must be positive")
         if self.center_wavelength <= 0.0:
@@ -124,6 +126,7 @@ class FourierPlaneMap:
     wavelength_o: float  # m, central wavelength of the ordinary photon
 
     def __post_init__(self):
+        _require_finite(self, "focal_length", "wavelength_e", "wavelength_o")
         if self.focal_length <= 0.0:
             raise ValueError("focal length must be positive")
         if self.wavelength_e <= 0.0 or self.wavelength_o <= 0.0:
@@ -183,26 +186,19 @@ def _form_constants(system, gamma):
     is b = d1 u + dk v + i w in the mismatches d at zero detuning. Its rows,
     returned as one 3x2 array, are u = -(w_y^2 / 2) a1, v = -2 gamma (L/2)^2 ak
     and w = (L/2) ak, where a1 and ak are the coefficients of
-    (omega_e, omega_o) in the transverse-y and longitudinal mismatches. M
+    (omega_e, omega_o) in the transverse-y and longitudinal mismatches,
+    read from ``kernel.mismatch_transverse_y`` and ``mismatch_longitudinal``. M
     holds the filters, the pump's y waist along a1, the acceptance along ak
     and a pulsed pump's spectrum; no term depends on the detector momenta.
     Raises DivergingIntegralError unless M is positive definite.
     """
     geom, pump = system.geometry, system.pump
     filter_e, filter_o = system.filter_e, system.filter_o
-    sin_e = math.sin(geom.emission_angle_e)
-    sin_o = math.sin(geom.emission_angle_o)
-    cos_e = math.cos(geom.emission_angle_e)
-    cos_o = math.cos(geom.emission_angle_o)
     half_l = geom.crystal_length / 2.0
-
-    a1 = np.array([-geom.group_slowness_e * sin_e, geom.group_slowness_o * sin_o])
-    ak = np.array(
-        [
-            geom.group_slowness_pump - geom.group_slowness_e * cos_e,
-            geom.group_slowness_pump - geom.group_slowness_o * cos_o,
-        ]
-    )
+    # each mismatch at zero momentum and unit omega_e, then unit omega_o
+    zero, (unit_e, unit_o) = TransverseWavevector(0.0, 0.0), np.eye(2)
+    a1 = mismatch_transverse_y(zero, unit_e, zero, unit_o, geom)
+    ak = mismatch_longitudinal(zero, unit_e, zero, unit_o, geom)
 
     matrix = 2.0 * (
         np.diag([1.0 / (4.0 * filter_e.sigma**2), 1.0 / (4.0 * filter_o.sigma**2)])
@@ -556,31 +552,19 @@ def biphoton_intensity(
     return np.exp(_log_intensity(_log_intensity_quadratic(system), *mismatches))
 
 
-# Padded-grid cells smoothed per chunk of lines across the window axis; chunks
-# near 512 kB keep the block sums in cache and the peak memory flat.
-PINHOLE_CHUNK_CELLS = 1 << 16
+def _box_matrix(n: int, taps: int) -> np.ndarray:
+    """The n x n circulant of the unnormalized box filter along one grid axis.
 
-
-def _window_means(padded: np.ndarray, out: np.ndarray) -> None:
-    """Write to ``out`` the means of ``width`` consecutive rows of ``padded``.
-
-    Row i of ``out`` averages ``padded[i : i + width]``, where ``width =
-    len(padded) - len(out) + 1`` is odd. The window is cut into power-of-two
-    blocks, one for each binary digit of ``width``, added smallest first;
-    the block sums of size 2s come from those of size s,
-    ``block[:-s] + block[s:]``.
+    Entry (i, j) is 1.0 where the circular lag min(|i - j|, n - |i - j|) is
+    at most ``taps`` and 0.0 elsewhere; the pinhole filter scales by
+    1 / (2 taps + 1) once, afterwards. Its rows are the windows of one
+    length-n row read circularly, taken from that row doubled, so no
+    n x n index array is made.
     """
-    n = len(out)
-    width = len(padded) - n + 1
-    np.copyto(out, padded[:n])  # width is odd: the size-1 block opens the window
-    block, size, start = padded, 1, 1
-    while 2 * size <= width:
-        block = block[:-size] + block[size:]
-        size *= 2
-        if width & size:
-            out += block[start : start + n]
-            start += size
-    out *= 1.0 / width
+    lag = np.arange(n)
+    row = (np.minimum(lag, n - lag) <= taps).astype(float)
+    windows = np.lib.stride_tricks.sliding_window_view(np.concatenate((row, row)), n)
+    return windows[n:0:-1].copy()
 
 
 def pinhole_smooth(values: np.ndarray, steps, diameter: float) -> np.ndarray:
@@ -590,31 +574,35 @@ def pinhole_smooth(values: np.ndarray, steps, diameter: float) -> np.ndarray:
     is detector A, axis 1 detector B. A real pinhole is a disk; its extent
     orthogonal to the scan axis is ignored.
 
-    ``steps`` holds the position increment (m) along each grid axis; each
-    axis is convolved circularly with a uniform kernel spanning the ``taps``
-    nodes on either side within +-diameter/2, so the grid total is conserved
-    and the maximum can only decrease. The circular convolution wraps mass
-    near one edge of the window onto the opposite edge. That is a known
-    defect, kept here (ROADMAP.md, open item "Grid statistics that converge
-    to the continuum"). ``diameter = 0`` returns an unsmoothed copy; a NaN,
-    infinite or negative diameter raises ValueError.
+    ``steps`` holds one finite, non-zero position increment (m) per grid
+    axis; each axis is convolved circularly with a uniform kernel spanning
+    the ``taps`` nodes on either side within +-diameter/2, so the grid
+    total is conserved and the maximum can only decrease. The circular
+    convolution wraps mass near one edge of the window onto the opposite
+    edge. That is a known defect, kept here (ROADMAP.md, open item "Grid
+    statistics that converge to the continuum"). ``diameter = 0`` returns
+    an unsmoothed copy; a NaN, infinite or negative diameter raises
+    ValueError.
 
-    Each axis is wrap-padded by ``taps`` nodes, and each width-(2 taps + 1)
-    window sum is put together from power-of-two block sums
-    (``_window_means``), so the work grows as log(taps), not as taps. The
-    lines across the window axis go in chunks of about
-    ``PINHOLE_CHUNK_CELLS`` padded cells, which keeps the partial sums in
-    cache. Only non-negative terms are ever added, so no cell can cancel
-    to a wrong or negative value. A running (cumulative) sum takes each
-    window as a difference of two large prefix sums: tail cells would then
-    carry an absolute error near 1e-16 of the peak and could go negative,
-    which ``JointDistribution`` rejects.
+    The filter is one matrix per axis, the 0/1 circulant of
+    ``_box_matrix``: the smoothed grid is B_a G B_b scaled by the two
+    window weights, one product and one scaling per axis. Only
+    non-negative terms are ever added, so no cell can cancel to a wrong or
+    negative value. A running (cumulative) sum takes each window as a
+    difference of two large prefix sums: tail cells would then carry an
+    absolute error near 1e-16 of the peak and could go negative, which
+    ``JointDistribution`` rejects.
     """
     grid = np.asarray(values, dtype=float)
     if grid.ndim != 2:
         raise ValueError("expected a 2-D scan grid")
     if not 0.0 <= diameter < math.inf:
         raise ValueError(f"pinhole diameter must be finite and non-negative, got {diameter!r}")
+    steps = tuple(steps)
+    if len(steps) != 2 or not all(math.isfinite(step) and step != 0.0 for step in steps):
+        raise ValueError(
+            f"steps must hold one finite, non-zero step per grid axis, got {steps!r}"
+        )
     if diameter == 0.0:
         return grid.copy()
     out = grid
@@ -628,14 +616,7 @@ def pinhole_smooth(values: np.ndarray, steps, diameter: float) -> np.ndarray:
         taps = int(math.floor(diameter / (2.0 * abs(step)) + 1e-12))
         if taps == 0:
             continue
-        n = grid.shape[axis]
-        padded = np.take(out, np.arange(-taps, n + taps) % n, axis=axis)
-        padded = np.moveaxis(padded, axis, 0)
-        smoothed = np.empty_like(out)
-        rows = np.moveaxis(smoothed, axis, 0)
-        lines = max(1, PINHOLE_CHUNK_CELLS // len(padded))
-        for first in range(0, rows.shape[1], lines):
-            chunk = slice(first, first + lines)
-            _window_means(padded[:, chunk], rows[:, chunk])
-        out = smoothed
+        box = _box_matrix(grid.shape[axis], taps)
+        out = box @ out if axis == 0 else out @ box
+        out *= 1.0 / (2 * taps + 1)
     return grid.copy() if out is grid else out

@@ -69,6 +69,31 @@ def test_filter_validation():
         SpectralFilter(center_wavelength=814e-9, sigma=0.0)
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize(
+    "part, field",
+    [
+        ("pump", "waist_x"),
+        ("pump", "waist_y"),
+        ("pump", "spectral_sigma"),
+        ("filter_e", "sigma"),
+        ("filter_o", "center_wavelength"),
+        ("fourier", "focal_length"),
+        ("fourier", "wavelength_e"),
+        ("fourier", "wavelength_o"),
+        ("geometry", "crystal_length"),
+        ("geometry", "group_slowness_pump"),
+        ("geometry", "group_slowness_e"),
+        ("geometry", "group_slowness_o"),
+        ("geometry", "walkoff_pump"),
+        ("geometry", "walkoff_e"),
+    ],
+)
+def test_physics_parameters_that_are_not_finite_are_rejected_by_name(system, part, field, value):
+    with pytest.raises(ValueError, match=rf"^{field} must be finite, got {value!r}$"):
+        replace(getattr(system, part), **{field: value})
+
+
 def test_assignment_parse():
     assert DetectionAssignment.parse("ea") is EA
     assert DetectionAssignment.parse("OA") is OA
@@ -765,6 +790,15 @@ def test_pinhole_rejects_a_diameter_that_is_not_finite_and_non_negative(system, 
         run_scan(plan, system, pinhole_diameter=diameter)
 
 
+@pytest.mark.parametrize(
+    "steps",
+    [(1e-4,), (1e-4, 1e-4, 1e-4), (1e-4, math.nan), (math.inf, 1e-4), (0.0, 1e-4)],
+)
+def test_pinhole_rejects_steps_that_are_not_one_finite_non_zero_step_per_axis(steps):
+    with pytest.raises(ValueError, match="steps must hold one finite, non-zero step"):
+        pinhole_smooth(np.ones((16, 16)), steps, 7.5e-4)
+
+
 def rolled_pinhole_reference(values, steps, diameter):
     """The circular top-hat as a sum of np.roll shifts, in ascending offset order."""
     out = np.array(values, dtype=float)
@@ -788,6 +822,8 @@ PINHOLE_CASES = [
     ((24, 41), (1e-4, 3e-5), 1.1e-3),  # non-square, unequal steps
     *SINGLE_AXIS_CASES,
     ((15, 15), (1e-4, 1e-4), 1.4e-3),  # widest aperture the span allows
+    ((16, 16), (1e-4, 1e-4), 1.5e-3),  # 15-node window: the band wraps past the corners
+    ((13, 20), (1e-4, 1e-4), 1.2e-3),  # 13-node window covers all of axis 0
 ]
 
 
@@ -804,7 +840,7 @@ def test_pinhole_matches_rolled_reference(shape, steps, diameter):
     "shape, steps, diameter",
     [
         *SINGLE_AXIS_CASES,
-        ((80, 8), (1e-5, 1e-3), 7.1e-4),  # 71-node window along axis 0: blocks 1 + 2 + 4 + 64
+        ((80, 8), (1e-5, 1e-3), 7.1e-4),  # 71-node window, most of the 80-node axis 0
     ],
 )
 def test_pinhole_single_axis_integer_grid_is_exact(shape, steps, diameter):
@@ -813,16 +849,6 @@ def test_pinhole_single_axis_integer_grid_is_exact(shape, steps, diameter):
     grid = np.random.default_rng(28).integers(0, 1000, shape).astype(float)
     grid[0, 0] = -0.0
     expected = rolled_pinhole_reference(grid, steps, diameter)
-    assert np.array_equal(pinhole_smooth(grid, steps, diameter), expected)
-
-
-@pytest.mark.parametrize("chunk_cells", [1, 200, 1000])
-def test_pinhole_chunks_leave_the_result_unchanged(monkeypatch, chunk_cells):
-    # lines are smoothed independently, so any split into chunks gives the same bits
-    grid = np.random.default_rng(29).uniform(0.0, 1.0, (24, 41))
-    steps, diameter = (1e-4, 3e-5), 1.1e-3
-    expected = pinhole_smooth(grid, steps, diameter)  # one chunk per axis
-    monkeypatch.setattr(trace_module, "PINHOLE_CHUNK_CELLS", chunk_cells)
     assert np.array_equal(pinhole_smooth(grid, steps, diameter), expected)
 
 
