@@ -14,13 +14,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernel import MODE_GAUSSIAN_APPROX, TransverseWavevector
+from .kernel import MODE_GAUSSIAN_APPROX, SINC_GAUSSIAN_GAMMA, TransverseWavevector
 from .trace import (
     DetectionAssignment,
     OpticalSystem,
     _log_intensity,
-    _log_intensity_quadratic,
     _mismatches,
+    _trace_gram,
     pinhole_smooth,
     resolve_pair,
     spatial_biphoton,
@@ -211,7 +211,7 @@ def run_scan(
 def _log_intensity_model(axis, assignment, system, orthogonal, q_a, q_b):
     """The Gaussian model's log-intensity in the scan momenta, from one trace call.
 
-    ``trace._log_intensity_quadratic`` writes log I = d^T alpha d + kappa in
+    ``trace._trace_gram`` writes log I = d^T alpha d + kappa in
     the mismatches d (``trace._mismatches``), which are linear in the
     detector momenta: d = J (q_a, q_b) + d(0, 0). One ``_momentum_pair`` and
     one ``_mismatches`` call take d at unit q_a and at unit q_b with no
@@ -219,7 +219,7 @@ def _log_intensity_model(axis, assignment, system, orthogonal, q_a, q_b):
     at the offset. Returns the coefficients, alpha (3x3), J (3x2), d at the
     pairs (3 x k) and the wavevectors of all traced pairs.
     """
-    coefficients = _log_intensity_quadratic(system)
+    coefficients = _trace_gram(system, SINC_GAUSSIAN_GAMMA)[0]
     _, a00, a11, a12, a22 = coefficients
     alpha = np.array([[a00, 0.0, 0.0], [0.0, a11, a12 / 2.0], [0.0, a12 / 2.0, a22]])
     ortho = np.full(len(q_a) + 2, float(orthogonal))

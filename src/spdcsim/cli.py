@@ -26,8 +26,7 @@ from .analysis import (
     summarize,
     waist_sweep,
 )
-from .config import ResolvedRun, default_config, load_config, load_crystal_material, resolve
-from .dispersion import UniaxialCrystal
+from .config import ResolvedRun, default_config, load_config, load_crystal, resolve
 from .kernel import (
     TransverseWavevector,
     mismatch_longitudinal,
@@ -339,7 +338,7 @@ def cmd_transition(args) -> int:
 
 
 def _check_material(config, base_dir):
-    model = load_crystal_material(config, base_dir)
+    model = load_crystal(config, base_dir).sellmeier
     lo, hi = model.valid_range_um
     grid = np.linspace(lo * 1.001, hi * 0.999, 64) * 1e-6
     for lam in grid:
@@ -393,10 +392,7 @@ def _check_mismatch(config, base_dir):
 
 
 def _check_walkoff(config, base_dir):
-    crystal = UniaxialCrystal(
-        sellmeier=load_crystal_material(config, base_dir),
-        cut_angle=math.radians(config.crystal.cut_angle_deg),
-    )
+    crystal = load_crystal(config, base_dir)
     lam = config.filters.center_nm * 1e-9
     step = 1e-6
     worst = 0.0
@@ -415,10 +411,7 @@ def _check_walkoff(config, base_dir):
 
 
 def _check_group_slowness(config, base_dir):
-    crystal = UniaxialCrystal(
-        sellmeier=load_crystal_material(config, base_dir),
-        cut_angle=math.radians(config.crystal.cut_angle_deg),
-    )
+    crystal = load_crystal(config, base_dir)
     lam = config.filters.center_nm * 1e-9
     worst = 0.0
     for pol in ("ordinary", "extraordinary"):

@@ -19,7 +19,7 @@ from pathlib import Path
 import yaml
 
 from . import __version__, dispersion
-from .dispersion import SellmeierModel, UniaxialCrystal, _is_finite_number, load_material
+from .dispersion import UniaxialCrystal, _is_finite_number, load_material
 from .kernel import (
     MODE_EXACT_SINC,
     MODE_GAUSSIAN_APPROX,
@@ -283,8 +283,8 @@ class ResolvedRun:
     digest: str
 
 
-def load_crystal_material(config: RunConfig, base_dir: Path | None = None) -> SellmeierModel:
-    """Load the config's material file.
+def load_crystal(config: RunConfig, base_dir: Path | None = None) -> UniaxialCrystal:
+    """The config's crystal: its material file at ``cut_angle_deg``.
 
     A ``material_file`` with a suffix that names an existing file relative
     to ``base_dir`` (the config file's directory) is read from there;
@@ -296,16 +296,15 @@ def load_crystal_material(config: RunConfig, base_dir: Path | None = None) -> Se
         candidate = base_dir / path
         if candidate.exists():
             material = candidate
-    return load_material(material)
+    return UniaxialCrystal(
+        sellmeier=load_material(material),
+        cut_angle=math.radians(config.crystal.cut_angle_deg),
+    )
 
 
 def resolve(config: RunConfig, *, base_dir: Path | None = None) -> ResolvedRun:
     """Convert a validated config into an OpticalSystem ready for scanning."""
-    sellmeier = load_crystal_material(config, base_dir)
-    crystal = UniaxialCrystal(
-        sellmeier=sellmeier,
-        cut_angle=math.radians(config.crystal.cut_angle_deg),
-    )
+    crystal = load_crystal(config, base_dir)
     lam_pump = config.pump.wavelength_nm * 1e-9
     lam_down = config.filters.center_nm * 1e-9
     phi_e, phi_o = _internal_angles(config, crystal, lam_down)
@@ -349,7 +348,7 @@ def resolve(config: RunConfig, *, base_dir: Path | None = None) -> ResolvedRun:
     )
     # the digest covers the material data and the version, not only the config
     payload = json.dumps(
-        {"config": asdict(config), "material": asdict(sellmeier), "version": __version__},
+        {"config": asdict(config), "material": asdict(crystal.sellmeier), "version": __version__},
         sort_keys=True,
         default=str,
     )

@@ -8,12 +8,13 @@ and holds no detector momentum; the linear term is b = d1 u + dk v + i w,
 with constant rows u, v and w and d the phase mismatches at zero detuning.
 So every closed form reads one reduction, the 3x3 Gram matrix of u, v and w
 in M^-1 (``_trace_gram``). A CW (monochromatic) pump pins
-omega_o = -omega_e and reduces the trace to one dimension; ``_on_support``
-alone restricts M and the rows to the pump's support, and M positive
-definite is the one divergence rule. The rate log|A|^2 is a real quadratic
-in the three mismatches (``_log_intensity_quadratic``): ``biphoton_intensity``
-evaluates it as one real exponential per point, and scans and their auto
-windows read it in the scan momenta (``analysis._log_intensity_model``).
+omega_o = -omega_e and reduces the trace to one dimension. ``_on_support``
+is the one place that checks and inverts M: it applies the one divergence
+rule, M positive definite, and restricts M and the rows to the pump's
+support. The rate log|A|^2 is a real quadratic in the three mismatches
+(``_trace_gram``): ``biphoton_intensity`` evaluates it as one real
+exponential per point, and scans and their auto windows read it in the
+scan momenta (``analysis._log_intensity_model``).
 The amplitude adds the phase d1 G_uw + dk (G_vw + L/2). The exact-sinc mode
 writes its phase-matching factor as an average over crystal depth,
 exp(i x) sinc x = (1/2) integral of exp(i x (1 + s)) over s in [-1, 1] with
@@ -158,15 +159,6 @@ class OpticalSystem:
         return replace(self, pump=replace(self.pump, waist_x=waist, waist_y=waist))
 
 
-def _require_positive_definite(matrix) -> None:
-    m = matrix
-    if not (m[0, 0] > 0.0 and m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0] > 0.0):
-        raise DivergingIntegralError(
-            "M is not positive definite; the frequency integral diverges "
-            "(check filter and pump spectral parameters)"
-        )
-
-
 def resolve_pair(q_A, q_B, assignment: DetectionAssignment):
     """The one polarizer relabel: map a detector pair (A, B) to its photons (e, o).
 
@@ -190,7 +182,6 @@ def _form_constants(system, gamma):
     read from ``kernel.mismatch_transverse_y`` and ``mismatch_longitudinal``. M
     holds the filters, the pump's y waist along a1, the acceptance along ak
     and a pulsed pump's spectrum; no term depends on the detector momenta.
-    Raises DivergingIntegralError unless M is positive definite.
     """
     geom, pump = system.geometry, system.pump
     filter_e, filter_o = system.filter_e, system.filter_o
@@ -207,7 +198,6 @@ def _form_constants(system, gamma):
     )
     if pump.spectral_mode == SPECTRAL_GAUSSIAN:
         matrix += np.ones((2, 2)) / (2.0 * pump.spectral_sigma**2)
-    _require_positive_definite(matrix)
     rows = np.array([-(pump.waist_y**2 / 2.0) * a1, -2.0 * gamma * half_l**2 * ak, half_l * ak])
     return rows, matrix
 
@@ -236,20 +226,26 @@ def _window_form(q_A, q_B, system, assignment):
 def _on_support(pump, matrix, *vectors):
     """M^-1, det M and the vectors of a frequency trace on the pump's support.
 
-    A pulsed pump leaves both detunings free: the inverse and determinant
-    are those of the 2x2 M and each (..., 2) vector comes back unchanged. A
-    CW pump pins omega_o = -omega_e, so along l = (1, -1) M is the 1x1
+    Raises DivergingIntegralError unless M is positive definite, M_00 > 0
+    and det M > 0, the one divergence rule. A pulsed pump leaves both
+    detunings free: the inverse is the adjugate of the 2x2 M over that
+    determinant and each (..., 2) vector comes back unchanged. A CW pump
+    pins omega_o = -omega_e, so along l = (1, -1) M is the 1x1
     m_line = l^T M l, its inverse 1/m_line, and each vector v is
     v_e - v_o, of shape (..., 1). A positive definite M makes m_line
-    positive, so the restriction checks nothing.
+    positive, so the restriction checks nothing more.
     """
-    if pump.spectral_mode == SPECTRAL_MONOCHROMATIC:
-        m_line = matrix[0, 0] - matrix[0, 1] - matrix[1, 0] + matrix[1, 1]
-        return (
-            (1.0 / m_line).reshape(1, 1), m_line,
-            *(v[..., :1] - v[..., 1:] for v in vectors),
+    (m00, m01), (m10, m11) = matrix.tolist()
+    det = m00 * m11 - m01 * m10
+    if not (m00 > 0.0 and det > 0.0):
+        raise DivergingIntegralError(
+            "M is not positive definite; the frequency integral diverges "
+            "(check filter and pump spectral parameters)"
         )
-    return (np.linalg.inv(matrix), np.linalg.det(matrix), *vectors)
+    if pump.spectral_mode == SPECTRAL_MONOCHROMATIC:
+        m_line = m00 - m01 - m10 + m11
+        return np.array([[1.0 / m_line]]), m_line, *(v[..., :1] - v[..., 1:] for v in vectors)
+    return np.array([[m11, -m01], [-m10, m00]]) / det, det, *vectors
 
 
 def _trace_gram(system, gamma):
@@ -261,11 +257,13 @@ def _trace_gram(system, gamma):
     c = -(w_x^2 d0^2 + w_y^2 d1^2) / 4 - gamma (L/2)^2 dk^2 + i (L/2) dk.
     The closed form A = pref exp(b^T M^-1 b / 2 + c) then needs only
     |pref|^2 = (2 pi)^k / det M and the 3x3 Gram matrix G of u, v and w in
-    M^-1, both on the pump's support (``_on_support``). Returns G, as nested
-    lists of floats, and the coefficients of log|A|^2 (see
-    ``_log_intensity_quadratic``): kappa = log|pref|^2 - G_ww,
-    alpha_00 = -w_x^2 / 2, alpha_11 = G_uu - w_y^2 / 2, alpha_12 = 2 G_uv and
-    alpha_22 = G_vv - 2 gamma (L/2)^2.
+    M^-1, both on the pump's support (``_on_support``). log|A|^2 is then
+    the real quadratic alpha_00 d0^2 + alpha_11 d1^2 + alpha_12 d1 dk +
+    alpha_22 dk^2 + kappa in the mismatches d at zero detuning, with
+    kappa = log|pref|^2 - G_ww, alpha_00 = -w_x^2 / 2,
+    alpha_11 = G_uu - w_y^2 / 2, alpha_12 = 2 G_uv and
+    alpha_22 = G_vv - 2 gamma (L/2)^2. Returns (kappa, alpha_00, alpha_11,
+    alpha_12, alpha_22) and G, as nested lists of floats.
     """
     pump, half_l = system.pump, system.geometry.crystal_length / 2.0
     rows, matrix = _form_constants(system, gamma)
@@ -515,20 +513,8 @@ def spatial_biphoton(
     return _gaussian_amplitude(q_A, q_B, system, assignment, SINC_GAUSSIAN_GAMMA)[0]
 
 
-def _log_intensity_quadratic(system: OpticalSystem):
-    """log|A|^2 of the Gaussian mode's closed form as a real quadratic.
-
-    Returns kappa, alpha_00, alpha_11, alpha_12 and alpha_22 of log|A|^2 =
-    alpha_00 d0^2 + alpha_11 d1^2 + alpha_12 d1 dk + alpha_22 dk^2 + kappa,
-    d the mismatches at zero detuning. They are read off the Gram matrix of
-    the rows u, v and w of the linear term b = d1 u + dk v + i w
-    (``_trace_gram``).
-    """
-    return _trace_gram(system, SINC_GAUSSIAN_GAMMA)[0]
-
-
 def _log_intensity(coefficients, d0, d1, dk):
-    """log|A|^2 from the ``_log_intensity_quadratic`` coefficients and the mismatches."""
+    """log|A|^2 from the ``_trace_gram`` coefficients and the mismatches."""
     kappa, alpha_00, alpha_11, alpha_12, alpha_22 = coefficients
     offset = kappa + alpha_00 * d0**2
     return d1 * (alpha_11 * d1 + alpha_12 * dk) + alpha_22 * dk**2 + offset
@@ -542,14 +528,15 @@ def biphoton_intensity(
 ):
     """|spatial_biphoton|^2 at a detector-momentum pair; broadcasts like it.
 
-    In the Gaussian mode it is the exponential of ``_log_intensity_quadratic``,
-    in real arithmetic, so a cell underflows to 0 only where |A|^2 does;
-    otherwise ``np.abs(spatial_biphoton(...)) ** 2`` of the closed form.
+    In the Gaussian mode it is the exponential of the log-intensity
+    quadratic of ``_trace_gram``, in real arithmetic, so a cell underflows
+    to 0 only where |A|^2 does; otherwise ``np.abs(spatial_biphoton(...))
+    ** 2`` of the closed form.
     """
     if system.mode != MODE_GAUSSIAN_APPROX:
         return np.abs(spatial_biphoton(q_A, q_B, system, assignment)) ** 2
     mismatches = _mismatches(q_A, q_B, assignment, system.geometry)
-    return np.exp(_log_intensity(_log_intensity_quadratic(system), *mismatches))
+    return np.exp(_log_intensity(_trace_gram(system, SINC_GAUSSIAN_GAMMA)[0], *mismatches))
 
 
 def _box_matrix(n: int, taps: int) -> np.ndarray:

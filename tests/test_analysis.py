@@ -720,6 +720,22 @@ def test_sign_transition_requires_straddling_bracket(system):
         find_sign_transition("y", 200e-6, 500e-6, 1e-6, system, plan=plan)
 
 
+@pytest.mark.parametrize("waist_lo, waist_hi", [(500e-6, 31e-6), (100e-6, 100e-6)])
+def test_sign_transition_needs_waist_lo_below_waist_hi(system, waist_lo, waist_hi):
+    with pytest.raises(ValueError, match="need waist_lo < waist_hi"):
+        find_sign_transition("y", waist_lo, waist_hi, 1e-6, system)
+
+
+@pytest.mark.filterwarnings("error::spdcsim.kernel.ParaxialWarning")
+@pytest.mark.parametrize("axis", ["y", "x"])
+def test_run_scan_rejects_an_all_zero_grid(system, axis):
+    # detectors 70 mm off axis on opposite sides: inside the paraxial limit,
+    # 0.1 f = 75 mm for the 750 mm lenses, but every rate underflows to 0
+    plan = ScanPlan(axis, EA, (70e-3, 71e-3), (-71e-3, -70e-3), 8)
+    with pytest.raises(DegenerateDistributionError, match="all-zero grid"):
+        run_scan(plan, system)
+
+
 # ---------------------------------------------------------------- validation
 
 def test_scan_plan_validation(system):

@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 from unittest import mock
 
@@ -240,28 +243,51 @@ def test_default_scan_matches_per_value_rows(tmp_path):
     assert any("e" in v for v in values) and any("e" not in v for v in values)
 
 
-@pytest.mark.parametrize("name", ["closed_form", "exact_sinc", "pulsed"])
-def test_fixed_window_scan_matches_golden_output(tmp_path, name):
-    # tests/data/golden holds each config with the scan and summary files it
-    # gave; everything after the digest line must stay byte for byte the same
-    golden = Path(__file__).parent / "data" / "golden"
-    out = tmp_path / f"{name}.csv"
-    assert main(["scan", "--config", str(golden / f"{name}.yaml"), "--out", str(out)]) == 0
+GOLDEN = Path(__file__).parent / "data" / "golden"
+
+
+def assert_matches_golden(out, name):
+    """Everything after the digest line of the scan and summary files, byte for byte."""
     for suffix in ("", ".summary"):
-        expected = (golden / f"{name}.csv{suffix}").read_bytes().split(b"\n")
+        expected = (GOLDEN / f"{name}.csv{suffix}").read_bytes().split(b"\n")
         actual = Path(f"{out}{suffix}").read_bytes().split(b"\n")
         assert expected[0].startswith(b"# config_digest=")
         assert actual[1:] == expected[1:]
 
 
+@pytest.mark.parametrize("name", ["closed_form", "exact_sinc", "pulsed"])
+def test_fixed_window_scan_matches_golden_output(tmp_path, name):
+    # tests/data/golden holds each config with the scan and summary files it gave
+    out = tmp_path / f"{name}.csv"
+    assert main(["scan", "--config", str(GOLDEN / f"{name}.yaml"), "--out", str(out)]) == 0
+    assert_matches_golden(out, name)
+
+
+def test_pulsed_golden_output_does_not_depend_on_the_blas_kernel(tmp_path):
+    # OpenBLAS reads OPENBLAS_CORETYPE once, when numpy is imported, so the
+    # scan runs in a fresh process on the Sandybridge kernel in place of the
+    # one picked for this CPU. Where OpenBLAS has no run-time dispatch, or
+    # numpy uses another BLAS, the variable is ignored and this is one more
+    # run on the default kernel.
+    out = tmp_path / "pulsed.csv"
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {
+        **os.environ,
+        "OPENBLAS_CORETYPE": "Sandybridge",
+        "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])),
+    }
+    command = [sys.executable, "-m", "spdcsim", "scan", "--config", str(GOLDEN / "pulsed.yaml")]
+    subprocess.run([*command, "--out", str(out)], env=env, check=True, capture_output=True)
+    assert_matches_golden(out, "pulsed")
+
+
 def test_exact_sinc_golden_grid_matches_quadrature_oracle():
     # the golden grid comes from the crystal-depth closed form; the frequency
     # trapezoid, an independent method, must reproduce it
-    golden = Path(__file__).parent / "data" / "golden"
-    run = resolve(load_config(golden / "exact_sinc.yaml"))
+    run = resolve(load_config(GOLDEN / "exact_sinc.yaml"))
     plan = _plan_from(run)
     oracle = quadrature_scan(plan, run.system).values
-    values = np.loadtxt(golden / "exact_sinc.csv", delimiter=",", comments="#")[:, 4]
+    values = np.loadtxt(GOLDEN / "exact_sinc.csv", delimiter=",", comments="#")[:, 4]
     assert values.shape == (plan.points**2,)
     assert np.max(np.abs(values - oracle.ravel())) <= 1e-8 * values.max()
 
@@ -294,6 +320,17 @@ def test_sweep_argument_validation(tmp_path, fast_config, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error:")
     assert len(err.strip().splitlines()) == 1
+
+
+def test_sweep_with_one_step_fails(tmp_path, fast_config, capsys):
+    out = tmp_path / "s.csv"
+    rc = main([
+        "sweep", "--config", str(fast_config), "--wmin", "31", "--wmax", "500",
+        "--steps", "1", "--out", str(out),
+    ])
+    assert rc == 1
+    assert capsys.readouterr().err == "error: sweep needs steps >= 2\n"
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------- transition

@@ -44,6 +44,8 @@ def test_empty_config_fills_experiment_defaults(tmp_path):
     assert config.optics.pinhole_mm == 2.0
     assert config.mode == "gaussian_approx"
     assert config == default_config()
+    # YAML reads an empty file as null, not as an empty mapping
+    assert load_config(write(tmp_path, "")) == default_config()
 
 
 def test_negative_length_names_field(tmp_path):
@@ -193,6 +195,22 @@ def test_scan_assignment_is_checked_like_the_axis(tmp_path, label):
     # pass under a different config digest
     with pytest.raises(ConfigError, match=rf"scan\.assignment must be 'ea' or 'oa', got '{label}'"):
         load_config(write(tmp_path, f"scan: {{assignment: {label}}}\n"))
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("pump: {spectral_mode: chirped}", r"pump\.spectral_mode must be 'monochromatic' or"),
+        ("geometry: {half_open_angle_ext_deg: null}", "one of half_open_angle_ext_deg or"),
+        ("scan: {axis: z}", r"scan\.axis must be 'x' or 'y', got 'z'"),
+        ("mode: sinc", "mode must be 'gaussian_approx' or 'exact_sinc', got 'sinc'"),
+        ("- pump\n- scan", "expected a mapping at top level"),
+    ],
+    ids=["spectral-mode", "no-angle", "axis", "mode", "top-level-list"],
+)
+def test_config_errors_name_the_fault(tmp_path, text, message):
+    with pytest.raises(ConfigError, match=message):
+        load_config(write(tmp_path, text + "\n"))
 
 
 def test_scan_points_floor(tmp_path):

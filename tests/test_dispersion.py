@@ -334,6 +334,36 @@ def test_material_numbers_accept_ints(tmp_path):
     assert model.ordinary_coeffs == BBO_O
 
 
-def test_missing_material_file():
+def test_missing_material_file(tmp_path):
     with pytest.raises(MaterialFileError, match="not found|no builtin"):
         load_material("unobtainium")
+    # a name with a suffix is a path, never a builtin
+    with pytest.raises(MaterialFileError, match="material file .*absent.yaml' not found"):
+        load_material(tmp_path / "absent.yaml")
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("name: [bbo\n", "cannot parse"),
+        ("- 2.7359\n- 2.3753\n", "expected a mapping at top level"),
+    ],
+    ids=["unparsable", "top-level-list"],
+)
+def test_material_file_that_does_not_parse_to_a_mapping_is_rejected(tmp_path, text, message):
+    path = tmp_path / "bad.yaml"
+    path.write_text(text)
+    with pytest.raises(MaterialFileError, match=message):
+        load_material(path)
+
+
+def test_material_range_with_min_above_max_is_rejected(tmp_path):
+    with pytest.raises(MaterialFileError, match="invalid valid_range_um"):
+        load_material(_bbo_copy(tmp_path, "valid_range_um", [1.0, 0.5]))
+
+
+@pytest.mark.parametrize("n0", [1.0, 0.5])
+def test_index_with_n_squared_at_most_one_is_rejected_on_evaluation(n0):
+    model = _constant_index_material(n0)
+    with pytest.raises(MaterialFileError, match=r"non-physical n\^2"):
+        model.ordinary(814e-9)

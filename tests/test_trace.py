@@ -94,6 +94,27 @@ def test_physics_parameters_that_are_not_finite_are_rejected_by_name(system, par
         replace(getattr(system, part), **{field: value})
 
 
+@pytest.mark.parametrize(
+    "part, field, value, message",
+    [
+        ("filter_e", "center_wavelength", 0.0, "filter center wavelength must be positive"),
+        ("filter_o", "center_wavelength", -814e-9, "filter center wavelength must be positive"),
+        ("fourier", "focal_length", 0.0, "focal length must be positive"),
+        ("fourier", "focal_length", -0.75, "focal length must be positive"),
+        ("fourier", "wavelength_e", 0.0, "central wavelengths must be positive"),
+        ("fourier", "wavelength_o", -814e-9, "central wavelengths must be positive"),
+    ],
+)
+def test_physics_parameters_that_are_not_positive_are_rejected(system, part, field, value, message):
+    with pytest.raises(ValueError, match=message):
+        replace(getattr(system, part), **{field: value})
+
+
+def test_optical_system_rejects_an_unknown_mode(system):
+    with pytest.raises(ValueError, match="mode must be one of .*got 'sinc'"):
+        replace(system, mode="sinc")
+
+
 def test_assignment_parse():
     assert DetectionAssignment.parse("ea") is EA
     assert DetectionAssignment.parse("OA") is OA
@@ -797,6 +818,11 @@ def test_pinhole_rejects_a_diameter_that_is_not_finite_and_non_negative(system, 
 def test_pinhole_rejects_steps_that_are_not_one_finite_non_zero_step_per_axis(steps):
     with pytest.raises(ValueError, match="steps must hold one finite, non-zero step"):
         pinhole_smooth(np.ones((16, 16)), steps, 7.5e-4)
+
+
+def test_pinhole_rejects_a_grid_that_is_not_2d():
+    with pytest.raises(ValueError, match="expected a 2-D scan grid"):
+        pinhole_smooth(np.ones(16), (1e-4, 1e-4), 7.5e-4)
 
 
 def rolled_pinhole_reference(values, steps, diameter):
