@@ -26,7 +26,9 @@ Every row uses the default config, whose 2 mm pinhole is on. The rows are:
   in the Gaussian mode, with a CW pump and with a 0.5 nm pulsed pump,
   computed three ways: ``centred_axes`` is what ``run_scan`` uses, two
   length-N log-intensity terms added to one N^2 outer product about the
-  window midpoints and one exponential; ``real_log_intensity`` is
+  window midpoints and one exponential, timed as the whole unnormalized
+  grid of ``analysis._plan_scan`` with no pinhole, from the plan's
+  mismatches to the checked ``JointDistribution``; ``real_log_intensity`` is
   ``biphoton_intensity``, one real exponential of the quadratic
   log-intensity per cell of broadcast momentum axes;
   ``complex_amplitude`` is ``np.abs(spatial_biphoton(...)) ** 2``.
@@ -189,9 +191,8 @@ def test_scan_intensity(benchmark, pump, path):
     ea = DetectionAssignment.E_AT_A
     plan = auto_plan("y", ea, system, INTENSITY_POINTS)
     q_A, q_B = window_momenta(system, "y", ea, plan.range_a, plan.range_b, plan.points)
-    axes = (q_A.qy[:, 0], q_B.qy[0, :])  # a y scan's momenta
     rates = {
-        "centred_axes": lambda: analysis._gaussian_scan_rates(plan, system, *axes)[0],
+        "centred_axes": lambda: analysis._plan_scan(plan, system, 0.0, False)(None).values,
         "real_log_intensity": lambda: biphoton_intensity(q_A, q_B, system, ea),
         "complex_amplitude": lambda: amplitude_squared(q_A, q_B, system, ea),
     }

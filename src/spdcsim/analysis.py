@@ -18,8 +18,10 @@ from .kernel import MODE_GAUSSIAN_APPROX, SINC_GAUSSIAN_GAMMA, TransverseWavevec
 from .trace import (
     DetectionAssignment,
     OpticalSystem,
+    _box_smooth,
     _log_intensity,
     _mismatches,
+    _pinhole_boxes,
     _trace_gram,
     pinhole_smooth,
     resolve_pair,
@@ -166,62 +168,105 @@ def run_scan(
 
     In the Gaussian mode's closed form the log-intensity is an exact
     quadratic in the scan momenta, so the rates are one exponential of two
-    length-N terms and one N x N outer product (``_gaussian_scan_rates``).
-    The exact-sinc mode takes ``np.abs(spatial_biphoton(...)) ** 2`` on
-    broadcast momentum axes.
+    length-N terms and one N x N outer product. The exact-sinc mode takes
+    ``np.abs(spatial_biphoton(...)) ** 2`` on broadcast momentum axes. Both
+    are the grid of ``_plan_scan`` at the pump of ``system``; the pinhole is
+    ``pinhole_smooth``, which builds and frees each axis's box in turn.
     """
-    positions_a = np.linspace(plan.range_a[0], plan.range_a[1], plan.points)
-    positions_b = np.linspace(plan.range_b[0], plan.range_b[1], plan.points)
+    return _plan_scan(plan, system, pinhole_diameter, normalize, keep_boxes=False)(None)
+
+
+def _plan_scan(plan, system, pinhole_diameter, normalize=True, keep_boxes=True):
+    """The scan of ``plan`` as a function of the isotropic pump waist (None: as given).
+
+    The plan's work, which no pump term enters, is done once: positions,
+    momenta, the mismatches at the nodes (``_scan_mismatches``) or the
+    exact-sinc wavevectors, the paraxial checks and, with ``keep_boxes``,
+    the pinhole's boxes. Per waist, about the window midpoints (c_a, c_b),
+    log I = r_a(q_a) + r_b(q_b) + 2 h (q_a - c_a)(q_b - c_b): r_a along the
+    row through c_b, r_b along the column through c_a less log I there,
+    h = J_a^T alpha J_b. Two length-N terms go into one N x N outer product
+    and one in-place exponential gives the rates.
+    """
+    n = plan.points
+    positions_a = np.linspace(plan.range_a[0], plan.range_a[1], n)
+    positions_b = np.linspace(plan.range_b[0], plan.range_b[1], n)
     fourier = system.fourier
     lam_a, lam_b = resolve_pair(fourier.wavelength_e, fourier.wavelength_o, plan.assignment)
-    momenta_a = fourier.position_to_momentum(positions_a, lam_a)
-    momenta_b = fourier.position_to_momentum(positions_b, lam_b)
-
-    if system.mode == MODE_GAUSSIAN_APPROX:
-        values, (q_A, q_B) = _gaussian_scan_rates(plan, system, momenta_a, momenta_b)
+    momenta_a = np.asarray(fourier.position_to_momentum(positions_a, lam_a))
+    momenta_b = np.asarray(fourier.position_to_momentum(positions_b, lam_b))
+    gaussian = system.mode == MODE_GAUSSIAN_APPROX
+    if gaussian:
+        centre_a = 0.5 * (momenta_a[0] + momenta_a[-1])
+        centre_b = 0.5 * (momenta_b[0] + momenta_b[-1])
+        jacobian, d, (q_A, q_B) = _scan_mismatches(
+            plan.axis, plan.assignment, system, plan.orthogonal,
+            np.concatenate([momenta_a, np.full(n, centre_a), [centre_a]]),
+            np.concatenate([np.full(n, centre_b), momenta_b, [centre_b]]),
+        )
+        u, v = momenta_a - centre_a, momenta_b - centre_b
     else:
         # column and row axes broadcast to the grid in every elementwise trace step
         q_A, q_B = _momentum_pair(
             plan.axis, plan.assignment, plan.orthogonal, system,
             momenta_a[:, np.newaxis], momenta_b[np.newaxis, :],
         )
-        values = np.abs(spatial_biphoton(q_A, q_B, system, plan.assignment)) ** 2
     q_A.check_paraxial(lam_a)
     q_B.check_paraxial(lam_b)
+    steps = (positions_a[1] - positions_a[0], positions_b[1] - positions_b[0])
+    hoisted = keep_boxes and pinhole_diameter
+    boxes = list(_pinhole_boxes(pinhole_diameter, steps, (n, n))) if hoisted else []
 
-    if pinhole_diameter:
-        steps = (positions_a[1] - positions_a[0], positions_b[1] - positions_b[0])
-        values = pinhole_smooth(values, steps, pinhole_diameter)
-    if normalize:
-        peak = values.max()
-        if peak <= 0.0:
-            raise DegenerateDistributionError("scan produced an all-zero grid")
-        values /= peak  # a fresh grid from the trace or the pinhole
-    return JointDistribution(
-        axis=plan.axis,
-        assignment=plan.assignment,
-        positions_a=positions_a,
-        positions_b=positions_b,
-        momenta_a=np.asarray(momenta_a),
-        momenta_b=np.asarray(momenta_b),
-        values=values,
-    )
+    def scan(waist):
+        swept = system if waist is None else system.with_isotropic_waist(waist)
+        if gaussian:
+            coefficients, alpha = _log_intensity_model(swept)
+            log_rates = _log_intensity(coefficients, *d)
+            cross = 2.0 * (jacobian[:, 0] @ alpha @ jacobian[:, 1])
+            values = np.multiply.outer(u, cross * v)
+            values += log_rates[:n, np.newaxis]
+            values += log_rates[n : 2 * n] - log_rates[-1]
+            np.exp(values, out=values)
+        else:
+            values = np.abs(spatial_biphoton(q_A, q_B, swept, plan.assignment)) ** 2
+        if pinhole_diameter and not hoisted:
+            values = pinhole_smooth(values, steps, pinhole_diameter)
+        values = _box_smooth(values, boxes)
+        if normalize:
+            peak = values.max()
+            if peak <= 0.0:
+                raise DegenerateDistributionError("scan produced an all-zero grid")
+            values /= peak  # a fresh grid from the trace or the pinhole
+        return JointDistribution(
+            axis=plan.axis,
+            assignment=plan.assignment,
+            positions_a=positions_a,
+            positions_b=positions_b,
+            momenta_a=momenta_a,
+            momenta_b=momenta_b,
+            values=values,
+        )
+
+    return scan
 
 
-def _log_intensity_model(axis, assignment, system, orthogonal, q_a, q_b):
-    """The Gaussian model's log-intensity in the scan momenta, from one trace call.
-
-    ``trace._trace_gram`` writes log I = d^T alpha d + kappa in
-    the mismatches d (``trace._mismatches``), which are linear in the
-    detector momenta: d = J (q_a, q_b) + d(0, 0). One ``_momentum_pair`` and
-    one ``_mismatches`` call take d at unit q_a and at unit q_b with no
-    orthogonal offset, the columns of J, and at the pairs (q_a[k], q_b[k])
-    at the offset. Returns the coefficients, alpha (3x3), J (3x2), d at the
-    pairs (3 x k) and the wavevectors of all traced pairs.
-    """
+def _log_intensity_model(system):
+    """The ``_trace_gram`` coefficients and alpha (3x3) of log I = d^T alpha d + kappa."""
     coefficients = _trace_gram(system, SINC_GAUSSIAN_GAMMA)[0]
     _, a00, a11, a12, a22 = coefficients
     alpha = np.array([[a00, 0.0, 0.0], [0.0, a11, a12 / 2.0], [0.0, a12 / 2.0, a22]])
+    return coefficients, alpha
+
+
+def _scan_mismatches(axis, assignment, system, orthogonal, q_a, q_b):
+    """The mismatches d (``trace._mismatches``), linear in the scan momenta.
+
+    d = J (q_a, q_b) + d(0, 0). One ``_momentum_pair`` and one
+    ``_mismatches`` call take d at unit q_a and at unit q_b with no
+    orthogonal offset, the columns of J, and at the pairs (q_a[k], q_b[k])
+    at the offset. Returns J (3x2), d at the pairs (3 x k) and the
+    wavevectors of all traced pairs. Nothing here depends on the pump.
+    """
     ortho = np.full(len(q_a) + 2, float(orthogonal))
     ortho[:2] = 0.0
     pair = _momentum_pair(
@@ -229,34 +274,7 @@ def _log_intensity_model(axis, assignment, system, orthogonal, q_a, q_b):
         np.concatenate(([1.0, 0.0], q_a)), np.concatenate(([0.0, 1.0], q_b)),
     )
     d = np.array(_mismatches(*pair, assignment, system.geometry))
-    return coefficients, alpha, d[:, :2], d[:, 2:], pair
-
-
-def _gaussian_scan_rates(plan, system, momenta_a, momenta_b):
-    """Gaussian-mode closed-form rates on the grid of two momentum axes.
-
-    About the window midpoints (c_a, c_b), with u = q_a - c_a and
-    v = q_b - c_b, the exact quadratic reads log I = r_a + r_b + 2 h u v:
-    r_a is log I along the row through c_b, r_b is log I along the column
-    through c_a less its value at (c_a, c_b), and h = J_a^T alpha J_b. Two
-    length-N terms are added in place to one N x N outer product, and one
-    in-place exponential gives the rates. Returns them with the traced
-    wavevectors, for the paraxial check.
-    """
-    n = plan.points
-    centre_a = 0.5 * (momenta_a[0] + momenta_a[-1])
-    centre_b = 0.5 * (momenta_b[0] + momenta_b[-1])
-    coefficients, alpha, jacobian, d, pair = _log_intensity_model(
-        plan.axis, plan.assignment, system, plan.orthogonal,
-        np.concatenate([momenta_a, np.full(n, centre_a), [centre_a]]),
-        np.concatenate([np.full(n, centre_b), momenta_b, [centre_b]]),
-    )
-    log_rates = _log_intensity(coefficients, *d)
-    cross = 2.0 * (jacobian[:, 0] @ alpha @ jacobian[:, 1])
-    rates = np.multiply.outer(momenta_a - centre_a, cross * (momenta_b - centre_b))
-    rates += log_rates[:n, np.newaxis]
-    rates += log_rates[n : 2 * n] - log_rates[-1]
-    return np.exp(rates, out=rates), pair
+    return d[:, :2], d[:, 2:], pair
 
 
 def summarize(dist: JointDistribution) -> CorrelationSummary:
@@ -314,15 +332,16 @@ def _gaussian_model_moments(axis, assignment, system, orthogonal=0.0):
     """Momentum mean and covariance of the scan predicted by the Gaussian model.
 
     Its log-intensity (``_log_intensity_model``, which ``run_scan`` reads
-    too) is d^T alpha d + kappa in d = J q + d_off, linear in the scan
-    momenta q, so the precision is -2 J^T alpha J and the gradient at q = 0
-    is 2 J^T alpha d_off. They are taken for q = (q_e, q_o) and put in
-    detector order by ``resolve_pair``, so the oa window is the ea one with
-    its detectors swapped.
+    too) is d^T alpha d + kappa in d = J q + d_off (``_scan_mismatches``),
+    linear in the scan momenta q, so the precision is -2 J^T alpha J and
+    the gradient at q = 0 is 2 J^T alpha d_off. They are taken for
+    q = (q_e, q_o) and put in detector order by ``resolve_pair``, so the
+    oa window is the ea one with its detectors swapped.
     Pure ridges are capped at a fixed variance ratio to the stiffest
     direction. Exact-sinc windows use them too.
     """
-    _, alpha, jacobian, at_offset, _ = _log_intensity_model(
+    _, alpha = _log_intensity_model(system)
+    jacobian, at_offset, _ = _scan_mismatches(
         axis, DetectionAssignment.E_AT_A, system, orthogonal, [0.0], [0.0]
     )
     offset = at_offset[:, 0]
@@ -405,7 +424,8 @@ def _pearson_by_waist(axis, system, plan, points, pinhole_diameter):
 
     Without a ``plan`` the scan takes the ea auto window of ``system`` with
     ``points`` per axis, 64 when None. A given plan must scan ``axis``, and
-    ``points``, when given, must be the plan's.
+    ``points``, when given, must be the plan's. The plan's work and checks
+    run here, once (``_plan_scan``); each waist redoes only the pump's.
     """
     if plan is None:
         plan = auto_plan(
@@ -415,12 +435,8 @@ def _pearson_by_waist(axis, system, plan, points, pinhole_diameter):
         raise ValueError(f"axis {axis!r} differs from the plan's axis {plan.axis!r}")
     elif points is not None and points != plan.points:
         raise ValueError(f"points={points} differs from the plan's {plan.points} points")
-
-    def pearson_at(waist: float) -> float:
-        swept = system.with_isotropic_waist(waist)
-        return summarize(run_scan(plan, swept, pinhole_diameter=pinhole_diameter)).pearson
-
-    return pearson_at
+    scan = _plan_scan(plan, system, pinhole_diameter)
+    return lambda waist: summarize(scan(waist)).pearson
 
 
 def waist_sweep(

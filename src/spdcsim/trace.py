@@ -14,7 +14,7 @@ rule, M positive definite, and restricts M and the rows to the pump's
 support. The rate log|A|^2 is a real quadratic in the three mismatches
 (``_trace_gram``): ``biphoton_intensity`` evaluates it as one real
 exponential per point, and scans and their auto windows read it in the
-scan momenta (``analysis._log_intensity_model``).
+scan momenta (``analysis._log_intensity_model``, ``_scan_mismatches``).
 The amplitude adds the phase d1 G_uw + dk (G_vw + L/2). The exact-sinc mode
 writes its phase-matching factor as an average over crystal depth,
 exp(i x) sinc x = (1/2) integral of exp(i x (1 + s)) over s in [-1, 1] with
@@ -554,6 +554,42 @@ def _box_matrix(n: int, taps: int) -> np.ndarray:
     return windows[n:0:-1].copy()
 
 
+def _pinhole_boxes(diameter: float, steps, shape):
+    """(axis, taps, ``_box_matrix``) per smoothed axis, each box built when reached.
+
+    ``taps`` counts the nodes on either side within +-diameter/2. Every
+    check of ``pinhole_smooth``'s arguments, and of the diameter against
+    each axis's span, raises ValueError before the first box is built.
+    """
+    if not 0.0 <= diameter < math.inf:
+        raise ValueError(f"pinhole diameter must be finite and non-negative, got {diameter!r}")
+    steps = tuple(steps)
+    if len(steps) != 2 or not all(math.isfinite(step) and step != 0.0 for step in steps):
+        raise ValueError(
+            f"steps must hold one finite, non-zero step per grid axis, got {steps!r}"
+        )
+    taps = []
+    for axis, step in enumerate(steps):
+        span = abs(step) * (shape[axis] - 1)
+        if diameter > span:
+            raise ValueError(
+                f"pinhole diameter {diameter} m exceeds the scan span {span} m "
+                f"along axis {axis}"
+            )
+        taps.append(int(math.floor(diameter / (2.0 * abs(step)) + 1e-12)))
+    for axis, count in enumerate(taps):
+        if count:
+            yield axis, count, _box_matrix(shape[axis], count)
+
+
+def _box_smooth(grid: np.ndarray, boxes) -> np.ndarray:
+    """B_a G B_b over ``_pinhole_boxes``, one product and one window weight per axis."""
+    for axis, taps, box in boxes:
+        grid = box @ grid if axis == 0 else grid @ box
+        grid *= 1.0 / (2 * taps + 1)
+    return grid
+
+
 def pinhole_smooth(values: np.ndarray, steps, diameter: float) -> np.ndarray:
     """Smooth a scan grid with a normalized top-hat of the pinhole diameter.
 
@@ -573,7 +609,8 @@ def pinhole_smooth(values: np.ndarray, steps, diameter: float) -> np.ndarray:
 
     The filter is one matrix per axis, the 0/1 circulant of
     ``_box_matrix``: the smoothed grid is B_a G B_b scaled by the two
-    window weights, one product and one scaling per axis. Only
+    window weights, one product and one scaling per axis, each matrix
+    built and freed in turn (``_pinhole_boxes``, ``_box_smooth``). Only
     non-negative terms are ever added, so no cell can cancel to a wrong or
     negative value. A running (cumulative) sum takes each window as a
     difference of two large prefix sums: tail cells would then carry an
@@ -583,27 +620,5 @@ def pinhole_smooth(values: np.ndarray, steps, diameter: float) -> np.ndarray:
     grid = np.asarray(values, dtype=float)
     if grid.ndim != 2:
         raise ValueError("expected a 2-D scan grid")
-    if not 0.0 <= diameter < math.inf:
-        raise ValueError(f"pinhole diameter must be finite and non-negative, got {diameter!r}")
-    steps = tuple(steps)
-    if len(steps) != 2 or not all(math.isfinite(step) and step != 0.0 for step in steps):
-        raise ValueError(
-            f"steps must hold one finite, non-zero step per grid axis, got {steps!r}"
-        )
-    if diameter == 0.0:
-        return grid.copy()
-    out = grid
-    for axis, step in enumerate(steps):
-        span = abs(step) * (grid.shape[axis] - 1)
-        if diameter > span:
-            raise ValueError(
-                f"pinhole diameter {diameter} m exceeds the scan span {span} m "
-                f"along axis {axis}"
-            )
-        taps = int(math.floor(diameter / (2.0 * abs(step)) + 1e-12))
-        if taps == 0:
-            continue
-        box = _box_matrix(grid.shape[axis], taps)
-        out = box @ out if axis == 0 else out @ box
-        out *= 1.0 / (2 * taps + 1)
+    out = _box_smooth(grid, _pinhole_boxes(diameter, steps, grid.shape))
     return grid.copy() if out is grid else out

@@ -1,4 +1,5 @@
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -7,6 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from spdcsim import analysis
 from spdcsim.analysis import (
     BracketError,
     CorrelationSummary,
@@ -24,7 +26,7 @@ from spdcsim.analysis import (
     _gaussian_model_moments,
 )
 from spdcsim.config import default_config, resolve
-from spdcsim.kernel import MODE_GAUSSIAN_APPROX
+from spdcsim.kernel import MODE_GAUSSIAN_APPROX, ParaxialWarning
 from spdcsim.trace import (
     DetectionAssignment,
     SpectralFilter,
@@ -678,6 +680,99 @@ def test_sign_transition_ends_below_the_float_spacing_of_the_bracket(system):
     assert 31e-6 < waist < 500e-6
     coarse = find_sign_transition("y", 31e-6, 500e-6, 1e-6, system, plan=plan)
     assert abs(waist - coarse) < 1e-6
+
+
+def reference_pearson_at(plan, system, waist, pinhole_diameter):
+    """One whole ``run_scan`` and summary per waist: the sweeps' oracle."""
+    swept = system.with_isotropic_waist(waist)
+    return summarize(run_scan(plan, swept, pinhole_diameter=pinhole_diameter)).pearson
+
+
+# the sweeps trace the plan once and redo only the pump's work per waist;
+# every Pearson must equal that of a whole scan at that waist, bit for bit
+SWEEP_CASES = [  # pump, mode, points per axis, waists per sweep
+    ("cw", "gaussian_approx", 64, 12),
+    ("pulsed", "gaussian_approx", 64, 12),
+    ("cw", "exact_sinc", 16, 4),
+]
+
+
+@pytest.mark.parametrize("pinhole", [0.0, PINHOLE])
+@pytest.mark.parametrize("axis", ["y", "x"])
+@pytest.mark.parametrize("kind, mode, points, count", SWEEP_CASES)
+def test_waist_sweep_equals_one_scan_per_waist(kind, mode, points, count, axis, pinhole):
+    system = relabel_system(kind, mode)
+    plan = auto_plan(axis, EA, system, points)
+    waists = np.linspace(31e-6, 500e-6, count)
+    swept = waist_sweep(axis, waists, system, plan=plan, pinhole_diameter=pinhole)
+    assert swept == [(w, reference_pearson_at(plan, system, w, pinhole)) for w in waists]
+
+
+@pytest.mark.parametrize("pinhole", [0.0, PINHOLE])
+@pytest.mark.parametrize("kind, mode, points", [case[:3] for case in SWEEP_CASES])
+def test_sign_transition_evaluates_one_scan_per_waist(monkeypatch, kind, mode, points, pinhole):
+    system = relabel_system(kind, mode)
+    plan = auto_plan("y", EA, system, points)
+    evaluations = []
+    by_waist = analysis._pearson_by_waist
+
+    def recording(*args):
+        pearson_at = by_waist(*args)
+
+        def recorded(waist):
+            pearson = pearson_at(waist)
+            evaluations.append((waist, pearson))
+            return pearson
+
+        return recorded
+
+    monkeypatch.setattr(analysis, "_pearson_by_waist", recording)
+    waist = find_sign_transition("y", 31e-6, 500e-6, 1e-6, system, plan=plan,
+                                 pinhole_diameter=pinhole)
+    assert 31e-6 < waist < 500e-6
+    assert len(evaluations) > 2  # both endpoints and at least one midpoint
+    for w, pearson in evaluations:
+        assert pearson == reference_pearson_at(plan, system, w, pinhole)
+
+
+def paraxial_warnings(call):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        call()
+    return sum(issubclass(w.category, ParaxialWarning) for w in caught)
+
+
+def test_sweeps_warn_for_a_plan_past_the_paraxial_limit_once_per_call(system):
+    # detectors out to 80 mm, past 0.1 f = 75 mm; the cells near the axis
+    # keep the grid non-degenerate
+    plan = ScanPlan("y", EA, (-80e-3, 80e-3), (-80e-3, 80e-3), 8)
+    one_scan = paraxial_warnings(lambda: run_scan(plan, system))
+    assert one_scan > 0
+    waists = [31e-6, 40e-6, 50e-6]
+    assert paraxial_warnings(lambda: waist_sweep("y", waists, system, plan=plan)) == one_scan
+    assert paraxial_warnings(
+        lambda: find_sign_transition("y", 31e-6, 500e-6, 1e-6, system, plan=plan)
+    ) == one_scan
+
+
+@pytest.mark.filterwarnings("error::spdcsim.kernel.ParaxialWarning")
+def test_waist_sweep_rejects_an_all_zero_grid(system):
+    plan = ScanPlan("y", EA, (70e-3, 71e-3), (-71e-3, -70e-3), 8)  # as for run_scan below
+    with pytest.raises(DegenerateDistributionError, match="all-zero grid"):
+        waist_sweep("y", [31e-6, 500e-6], system, plan=plan)
+
+
+@pytest.mark.parametrize("diameter, message", [
+    (20e-3, "exceeds the scan span"),
+    (np.nan, "pinhole diameter must be finite"),
+])
+def test_sweeps_reject_a_bad_pinhole(system, diameter, message):
+    plan = auto_plan("y", EA, system, 16)  # spans about 11 mm
+    with pytest.raises(ValueError, match=message):
+        waist_sweep("y", [31e-6, 500e-6], system, plan=plan, pinhole_diameter=diameter)
+    with pytest.raises(ValueError, match=message):
+        find_sign_transition("y", 31e-6, 500e-6, 1e-6, system, plan=plan,
+                             pinhole_diameter=diameter)
 
 
 @pytest.fixture(scope="module")

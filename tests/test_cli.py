@@ -281,6 +281,30 @@ def test_pulsed_golden_output_does_not_depend_on_the_blas_kernel(tmp_path):
     assert_matches_golden(out, "pulsed")
 
 
+def test_sweep_and_transition_do_not_depend_on_the_blas_kernel(tmp_path):
+    # as for the pulsed golden grid: a fresh process on the Sandybridge
+    # kernel. The sweeps hoist the plan's products out of the waist loop;
+    # every line after the digest must still be this process's own.
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {
+        **os.environ,
+        "OPENBLAS_CORETYPE": "Sandybridge",
+        "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])),
+    }
+    commands = {
+        "sweep": ["sweep", "--axis", "y", "--wmin", "31", "--wmax", "500", "--steps", "40"],
+        "transition": ["transition", "--axis", "y", "--wlo", "31", "--whi", "500", "--tol", "1"],
+    }
+    for name, argv in commands.items():
+        here, there = tmp_path / f"{name}_here.csv", tmp_path / f"{name}_there.csv"
+        assert main([*argv, "--out", str(here)]) == 0
+        command = [sys.executable, "-m", "spdcsim", *argv, "--out", str(there)]
+        subprocess.run(command, env=env, check=True, capture_output=True)
+        lines = here.read_text().splitlines()
+        assert lines[0].startswith("# config_digest=")
+        assert there.read_text().splitlines()[1:] == lines[1:]
+
+
 def test_exact_sinc_golden_grid_matches_quadrature_oracle():
     # the golden grid comes from the crystal-depth closed form; the frequency
     # trapezoid, an independent method, must reproduce it
