@@ -21,7 +21,13 @@ Every row uses the default config, whose 2 mm pinhole is on. The rows are:
 - ``pinhole_smooth``: the filter alone, on the unsmoothed grid of that y
   scan at 512^2 and 1024^2.
 - ``waist_sweep``: 40 waists from 31 to 500 um on the y axis at 64^2.
-  ``find_sign_transition``: the y sign flip in that bracket to 1 um.
+  ``find_sign_transition``: the y sign flip in that bracket to 1 um. Each
+  is timed two ways: ``moments`` is the library's, the pinhole's moments
+  read from three vectors of each waist's unsmoothed grid;
+  ``smoothed_grid`` is one whole ``summarize(run_scan(...))`` per waist.
+  Their Pearson values must agree to ``MOMENTS_PEARSON_TOLERANCE`` of
+  ``tests/test_analysis.py``, and the two bisections must return the same
+  waist.
 - ``scan_intensity``: the rates of one auto-window y scan (ea) at 512^2
   in the Gaussian mode, with a CW pump and with a 0.5 nm pulsed pump,
   computed three ways: ``centred_axes`` is what ``run_scan`` uses, two
@@ -79,6 +85,7 @@ from test_analysis import (  # noqa: E402
     assert_summaries_agree,
     reference_assignment_sensitivity,
     reference_summarize,
+    MOMENTS_PEARSON_TOLERANCE,
     relabel_system,
     six_point_model_moments,
 )
@@ -158,27 +165,53 @@ def test_pinhole_smooth(benchmark, run, points):
     assert out.min() > 0.0
 
 
-def test_waist_sweep(benchmark, run):
+def _smoothed_grid_pearson_by_waist(axis, system, plan, points, pinhole_diameter):
+    """``analysis._pearson_by_waist`` as one whole scan and summary per waist."""
+    plan = plan or auto_plan(axis, DetectionAssignment.E_AT_A, system, points)
+    return lambda waist: summarize(
+        run_scan(plan, system.with_isotropic_waist(waist), pinhole_diameter=pinhole_diameter)
+    ).pearson
+
+
+def _both_paths(monkeypatch, call, path):
+    """``call`` on the library's moments and on one smoothed grid per waist; ``path`` stays live."""
+    library = call()
+    monkeypatch.setattr(analysis, "_pearson_by_waist", _smoothed_grid_pearson_by_waist)
+    reference = call()
+    if path == "moments":
+        monkeypatch.undo()
+    return library, reference
+
+
+@pytest.mark.parametrize("path", ["moments", "smoothed_grid"])
+def test_waist_sweep(benchmark, run, monkeypatch, path):
     benchmark.group = f"waist sweep and bisection y {SWEEP_POINTS}"
     benchmark.extra_info["waists"] = len(SWEEP_WAISTS)
-    results = benchmark.pedantic(
-        waist_sweep, args=("y", SWEEP_WAISTS, run.system),
-        kwargs={"points": SWEEP_POINTS, "pinhole_diameter": run.pinhole_diameter},
-        rounds=10, warmup_rounds=1,
+    sweep = lambda: waist_sweep(  # noqa: E731
+        "y", SWEEP_WAISTS, run.system, points=SWEEP_POINTS,
+        pinhole_diameter=run.pinhole_diameter,
     )
-    pearson = [p for _, p in results]
+    library, reference = _both_paths(monkeypatch, sweep, path)
+    results = benchmark.pedantic(sweep, rounds=10, warmup_rounds=1)
+    assert results == {"moments": library, "smoothed_grid": reference}[path]
+    pearson = [p for _, p in library]
     assert pearson[0] > 0.0 > pearson[-1]
+    assert pearson == pytest.approx(
+        [p for _, p in reference], rel=0.0, abs=MOMENTS_PEARSON_TOLERANCE
+    )
 
 
-def test_find_sign_transition(benchmark, run):
+@pytest.mark.parametrize("path", ["moments", "smoothed_grid"])
+def test_find_sign_transition(benchmark, run, monkeypatch, path):
     benchmark.group = f"waist sweep and bisection y {SWEEP_POINTS}"
     benchmark.extra_info["tol_m"] = TRANSITION_TOL
-    waist = benchmark.pedantic(
-        find_sign_transition,
-        args=("y", SWEEP_WAISTS[0], SWEEP_WAISTS[-1], TRANSITION_TOL, run.system),
-        kwargs={"points": SWEEP_POINTS, "pinhole_diameter": run.pinhole_diameter},
-        rounds=10, warmup_rounds=1,
+    transition = lambda: find_sign_transition(  # noqa: E731
+        "y", SWEEP_WAISTS[0], SWEEP_WAISTS[-1], TRANSITION_TOL, run.system,
+        points=SWEEP_POINTS, pinhole_diameter=run.pinhole_diameter,
     )
+    library, reference = _both_paths(monkeypatch, transition, path)
+    waist = benchmark.pedantic(transition, rounds=10, warmup_rounds=1)
+    assert waist == library == reference
     assert SWEEP_WAISTS[0] < waist < SWEEP_WAISTS[-1]
 
 

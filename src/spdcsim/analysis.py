@@ -18,7 +18,6 @@ from .kernel import MODE_GAUSSIAN_APPROX, SINC_GAUSSIAN_GAMMA, TransverseWavevec
 from .trace import (
     DetectionAssignment,
     OpticalSystem,
-    _box_smooth,
     _log_intensity,
     _mismatches,
     _pinhole_boxes,
@@ -171,26 +170,38 @@ def run_scan(
     length-N terms and one N x N outer product. The exact-sinc mode takes
     ``np.abs(spatial_biphoton(...)) ** 2`` on broadcast momentum axes. Both
     are the grid of ``_plan_scan`` at the pump of ``system``; the pinhole is
-    ``pinhole_smooth``, which builds and frees each axis's box in turn.
+    ``pinhole_smooth``, which builds and frees each axis's box in turn. A
+    grid with no positive cell raises DegenerateDistributionError, whether
+    or not it is normalized.
     """
-    return _plan_scan(plan, system, pinhole_diameter, normalize, keep_boxes=False)(None)
+    return _plan_scan(plan, system, pinhole_diameter, normalize)(None)
 
 
-def _plan_scan(plan, system, pinhole_diameter, normalize=True, keep_boxes=True):
+def _plan_positions(plan):
+    """The detector positions (m) of the plan's two axes and their steps, the pinhole's."""
+    positions_a = np.linspace(plan.range_a[0], plan.range_a[1], plan.points)
+    positions_b = np.linspace(plan.range_b[0], plan.range_b[1], plan.points)
+    steps = (positions_a[1] - positions_a[0], positions_b[1] - positions_b[0])
+    return positions_a, positions_b, steps
+
+
+def _plan_scan(plan, system, pinhole_diameter, normalize=True):
     """The scan of ``plan`` as a function of the isotropic pump waist (None: as given).
 
     The plan's work, which no pump term enters, is done once: positions,
     momenta, the mismatches at the nodes (``_scan_mismatches``) or the
-    exact-sinc wavevectors, the paraxial checks and, with ``keep_boxes``,
-    the pinhole's boxes. Per waist, about the window midpoints (c_a, c_b),
-    log I = r_a(q_a) + r_b(q_b) + 2 h (q_a - c_a)(q_b - c_b): r_a along the
-    row through c_b, r_b along the column through c_a less log I there,
-    h = J_a^T alpha J_b. Two length-N terms go into one N x N outer product
-    and one in-place exponential gives the rates.
+    exact-sinc wavevectors and the paraxial checks. The sweeps take the
+    grid unnormalized and with no pinhole, and read its smoothed moments
+    from vectors (``_moments``). Per waist, about the window midpoints
+    (c_a, c_b), log I = r_a(q_a) + r_b(q_b) + 2 h (q_a - c_a)(q_b - c_b):
+    r_a along the row through c_b, r_b along the column through c_a less
+    log I there, h = J_a^T alpha J_b. Two length-N terms go into one N x N
+    outer product and one in-place exponential gives the rates. A grid with
+    no positive cell raises DegenerateDistributionError before any
+    normalization.
     """
     n = plan.points
-    positions_a = np.linspace(plan.range_a[0], plan.range_a[1], n)
-    positions_b = np.linspace(plan.range_b[0], plan.range_b[1], n)
+    positions_a, positions_b, steps = _plan_positions(plan)
     fourier = system.fourier
     lam_a, lam_b = resolve_pair(fourier.wavelength_e, fourier.wavelength_o, plan.assignment)
     momenta_a = np.asarray(fourier.position_to_momentum(positions_a, lam_a))
@@ -213,9 +224,6 @@ def _plan_scan(plan, system, pinhole_diameter, normalize=True, keep_boxes=True):
         )
     q_A.check_paraxial(lam_a)
     q_B.check_paraxial(lam_b)
-    steps = (positions_a[1] - positions_a[0], positions_b[1] - positions_b[0])
-    hoisted = keep_boxes and pinhole_diameter
-    boxes = list(_pinhole_boxes(pinhole_diameter, steps, (n, n))) if hoisted else []
 
     def scan(waist):
         swept = system if waist is None else system.with_isotropic_waist(waist)
@@ -229,13 +237,12 @@ def _plan_scan(plan, system, pinhole_diameter, normalize=True, keep_boxes=True):
             np.exp(values, out=values)
         else:
             values = np.abs(spatial_biphoton(q_A, q_B, swept, plan.assignment)) ** 2
-        if pinhole_diameter and not hoisted:
+        if pinhole_diameter:
             values = pinhole_smooth(values, steps, pinhole_diameter)
-        values = _box_smooth(values, boxes)
+        peak = values.max()
+        if peak <= 0.0:
+            raise DegenerateDistributionError("scan produced an all-zero grid")
         if normalize:
-            peak = values.max()
-            if peak <= 0.0:
-                raise DegenerateDistributionError("scan produced an all-zero grid")
             values /= peak  # a fresh grid from the trace or the pinhole
         return JointDistribution(
             axis=plan.axis,
@@ -291,31 +298,10 @@ def summarize(dist: JointDistribution) -> CorrelationSummary:
     Means and variances come from the marginals (the grid's row and column
     sums), and the covariance from one matrix-vector product,
     (q_a - m_a) . (grid @ (q_b - m_b)) / total, so no grid-sized temporary
-    is made.
+    is made (``_moments``, which the waist sweeps share).
     """
     values = np.asarray(dist.values, dtype=float)
-    marginal_a = values.sum(axis=1)
-    total = float(marginal_a.sum())
-    if total <= 0.0:
-        raise DegenerateDistributionError("distribution has zero total weight")
-    # each marginal over its own sum: support on one row or column gets a
-    # weight of exactly 1 there, so the mean is that node and the variance 0
-    weights_a = marginal_a / total
-    marginal_b = values.sum(axis=0)
-    weights_b = marginal_b / float(marginal_b.sum())
-    q_a = np.asarray(dist.momenta_a, dtype=float)
-    q_b = np.asarray(dist.momenta_b, dtype=float)
-    centred_a = q_a - float(weights_a @ q_a)
-    centred_b = q_b - float(weights_b @ q_b)
-    var_a = float(weights_a @ centred_a**2)
-    var_b = float(weights_b @ centred_b**2)
-    cov_ab = float(centred_a @ ((values @ centred_b) / total))
-    if var_a <= 0.0 or var_b <= 0.0:
-        raise DegenerateDistributionError(
-            "zero variance along a scan axis; correlation is undefined"
-        )
-    # two roots: the product var_a * var_b underflows to 0 for variances of 8e-250
-    pearson = cov_ab / (math.sqrt(var_a) * math.sqrt(var_b))
+    pearson, var_a, var_b, cov_ab = _moments(values, dist.momenta_a, dist.momenta_b)
     # orientation of the major covariance eigenvector; atan2 keeps it in (-pi/2, pi/2]
     angle = 0.5 * math.atan2(2.0 * cov_ab, var_a - var_b)
     peak_cells = dist.values >= (1.0 - 1e-12) * dist.values.max()  # first in C order
@@ -326,6 +312,50 @@ def summarize(dist: JointDistribution) -> CorrelationSummary:
         principal_angle=angle,
         peak=(float(dist.momenta_a[i_peak]), float(dist.momenta_b[j_peak])),
     )
+
+
+def _moments(values, q_a, q_b, boxes=()):
+    """Pearson, variances and covariance of S = B_a G B_b as a mass function on (q_a, q_b).
+
+    ``values`` is the grid G and ``boxes`` the ``trace._pinhole_boxes`` of
+    a pinhole: S is then ``pinhole_smooth(G)``, and with no boxes S = G and
+    the operations are ``summarize``'s, in its order. Each box B is a
+    symmetric circulant whose rows hold 2 taps + 1 ones, so S needs no
+    N x N product. Up to the window weights, its marginals are B_a (G 1)
+    and B_b (G^T 1) and S c_b is B_a (G (B_b c_b)): three passes over G and
+    a few length-N products. The weights cancel in the means and the
+    variances, and of the covariance's only axis b's is left.
+    """
+    box_of = {axis: box for axis, _, box in boxes}
+
+    def smooth(axis, vector):
+        return box_of[axis] @ vector if axis in box_of else vector
+
+    marginal_a = smooth(0, values.sum(axis=1))
+    total = float(marginal_a.sum())
+    if total <= 0.0:
+        raise DegenerateDistributionError("distribution has zero total weight")
+    # each marginal over its own sum: support on one row or column gets a
+    # weight of exactly 1 there, so the mean is that node and the variance 0
+    weights_a = marginal_a / total
+    marginal_b = smooth(1, values.sum(axis=0))
+    weights_b = marginal_b / float(marginal_b.sum())
+    q_a = np.asarray(q_a, dtype=float)
+    q_b = np.asarray(q_b, dtype=float)
+    centred_a = q_a - float(weights_a @ q_a)
+    centred_b = q_b - float(weights_b @ q_b)
+    var_a = float(weights_a @ centred_a**2)
+    var_b = float(weights_b @ centred_b**2)
+    cov_ab = float(centred_a @ (smooth(0, values @ smooth(1, centred_b)) / total))
+    for axis, taps, _ in boxes:
+        if axis == 1:  # S c_b carries both window weights, the total only axis a's
+            cov_ab /= 2 * taps + 1
+    if var_a <= 0.0 or var_b <= 0.0:
+        raise DegenerateDistributionError(
+            "zero variance along a scan axis; correlation is undefined"
+        )
+    # two roots: the product var_a * var_b underflows to 0 for variances of 8e-250
+    return cov_ab / (math.sqrt(var_a) * math.sqrt(var_b)), var_a, var_b, cov_ab
 
 
 def _gaussian_model_moments(axis, assignment, system, orthogonal=0.0):
@@ -425,7 +455,11 @@ def _pearson_by_waist(axis, system, plan, points, pinhole_diameter):
     Without a ``plan`` the scan takes the ea auto window of ``system`` with
     ``points`` per axis, 64 when None. A given plan must scan ``axis``, and
     ``points``, when given, must be the plan's. The plan's work and checks
-    run here, once (``_plan_scan``); each waist redoes only the pump's.
+    run here, once: the scan's (``_plan_scan``) and the pinhole's boxes,
+    whose checks raise before any box is built. Each waist redoes only the
+    pump's work, the unnormalized grid with its ``JointDistribution``
+    checks, and reads Pearson from ``_moments`` of that grid and the boxes,
+    so no smoothed grid is formed.
     """
     if plan is None:
         plan = auto_plan(
@@ -435,8 +469,17 @@ def _pearson_by_waist(axis, system, plan, points, pinhole_diameter):
         raise ValueError(f"axis {axis!r} differs from the plan's axis {plan.axis!r}")
     elif points is not None and points != plan.points:
         raise ValueError(f"points={points} differs from the plan's {plan.points} points")
-    scan = _plan_scan(plan, system, pinhole_diameter)
-    return lambda waist: summarize(scan(waist)).pearson
+    scan = _plan_scan(plan, system, 0.0, normalize=False)
+    boxes = []
+    if pinhole_diameter:
+        steps = _plan_positions(plan)[2]
+        boxes = list(_pinhole_boxes(pinhole_diameter, steps, (plan.points, plan.points)))
+
+    def pearson_at(waist):
+        dist = scan(waist)
+        return _moments(dist.values, dist.momenta_a, dist.momenta_b, boxes)[0]
+
+    return pearson_at
 
 
 def waist_sweep(
@@ -453,6 +496,9 @@ def waist_sweep(
     The plan is ``plan`` or else the ea auto window of ``system`` with
     ``points`` per axis (64 when None); a plan on another axis than
     ``axis``, or of another size than a given ``points``, raises ValueError.
+    Each waist's Pearson is that of ``summarize(run_scan(...))`` at that
+    waist up to rounding, read from the unsmoothed grid and the pinhole's
+    boxes (``_moments``), so no smoothed grid is formed.
     """
     waists = [float(w) for w in waists]
     bad = [w for w in waists if not 0.0 < w < math.inf]
@@ -479,7 +525,8 @@ def find_sign_transition(
     bracket is narrower than ``tol`` (m) and returns its midpoint. A
     midpoint that is not strictly inside the bracket, once ``tol`` is below
     the float spacing there, ends it too and is returned. The plan is
-    chosen and checked as in ``waist_sweep``.
+    chosen and checked, and each step's one waist evaluated, as in
+    ``waist_sweep``.
     """
     for name, value in (("waist_lo", waist_lo), ("waist_hi", waist_hi), ("tol", tol)):
         if not 0.0 < value < math.inf:

@@ -179,17 +179,15 @@ def _form_constants(system, gamma):
     returned as one 3x2 array, are u = -(w_y^2 / 2) a1, v = -2 gamma (L/2)^2 ak
     and w = (L/2) ak, where a1 and ak are the coefficients of
     (omega_e, omega_o) in the transverse-y and longitudinal mismatches,
-    read from ``kernel.mismatch_transverse_y`` and ``mismatch_longitudinal``. M
+    read from ``kernel.mismatch_transverse_y`` and ``mismatch_longitudinal``
+    once per geometry (``_frequency_rows``), since no pump term enters them. M
     holds the filters, the pump's y waist along a1, the acceptance along ak
     and a pulsed pump's spectrum; no term depends on the detector momenta.
     """
-    geom, pump = system.geometry, system.pump
+    pump = system.pump
     filter_e, filter_o = system.filter_e, system.filter_o
-    half_l = geom.crystal_length / 2.0
-    # each mismatch at zero momentum and unit omega_e, then unit omega_o
-    zero, (unit_e, unit_o) = TransverseWavevector(0.0, 0.0), np.eye(2)
-    a1 = mismatch_transverse_y(zero, unit_e, zero, unit_o, geom)
-    ak = mismatch_longitudinal(zero, unit_e, zero, unit_o, geom)
+    half_l = system.geometry.crystal_length / 2.0
+    a1, ak = _frequency_rows(system.geometry)
 
     matrix = 2.0 * (
         np.diag([1.0 / (4.0 * filter_e.sigma**2), 1.0 / (4.0 * filter_o.sigma**2)])
@@ -200,6 +198,18 @@ def _form_constants(system, gamma):
         matrix += np.ones((2, 2)) / (2.0 * pump.spectral_sigma**2)
     rows = np.array([-(pump.waist_y**2 / 2.0) * a1, -2.0 * gamma * half_l**2 * ak, half_l * ak])
     return rows, matrix
+
+
+@functools.lru_cache(maxsize=16)
+def _frequency_rows(geom: SpdcGeometry):
+    """The rows a1 and ak of ``_form_constants``, read-only, once per geometry."""
+    # each mismatch at zero momentum and unit omega_e, then unit omega_o
+    zero, (unit_e, unit_o) = TransverseWavevector(0.0, 0.0), np.eye(2)
+    a1 = mismatch_transverse_y(zero, unit_e, zero, unit_o, geom)
+    ak = mismatch_longitudinal(zero, unit_e, zero, unit_o, geom)
+    a1.setflags(write=False)
+    ak.setflags(write=False)
+    return a1, ak
 
 
 def _mismatches(q_A, q_B, assignment, geom):
@@ -582,14 +592,6 @@ def _pinhole_boxes(diameter: float, steps, shape):
             yield axis, count, _box_matrix(shape[axis], count)
 
 
-def _box_smooth(grid: np.ndarray, boxes) -> np.ndarray:
-    """B_a G B_b over ``_pinhole_boxes``, one product and one window weight per axis."""
-    for axis, taps, box in boxes:
-        grid = box @ grid if axis == 0 else grid @ box
-        grid *= 1.0 / (2 * taps + 1)
-    return grid
-
-
 def pinhole_smooth(values: np.ndarray, steps, diameter: float) -> np.ndarray:
     """Smooth a scan grid with a normalized top-hat of the pinhole diameter.
 
@@ -610,7 +612,7 @@ def pinhole_smooth(values: np.ndarray, steps, diameter: float) -> np.ndarray:
     The filter is one matrix per axis, the 0/1 circulant of
     ``_box_matrix``: the smoothed grid is B_a G B_b scaled by the two
     window weights, one product and one scaling per axis, each matrix
-    built and freed in turn (``_pinhole_boxes``, ``_box_smooth``). Only
+    built and freed in turn (``_pinhole_boxes``). Only
     non-negative terms are ever added, so no cell can cancel to a wrong or
     negative value. A running (cumulative) sum takes each window as a
     difference of two large prefix sums: tail cells would then carry an
@@ -620,5 +622,8 @@ def pinhole_smooth(values: np.ndarray, steps, diameter: float) -> np.ndarray:
     grid = np.asarray(values, dtype=float)
     if grid.ndim != 2:
         raise ValueError("expected a 2-D scan grid")
-    out = _box_smooth(grid, _pinhole_boxes(diameter, steps, grid.shape))
+    out = grid
+    for axis, taps, box in _pinhole_boxes(diameter, steps, grid.shape):
+        out = box @ out if axis == 0 else out @ box
+        out *= 1.0 / (2 * taps + 1)
     return grid.copy() if out is grid else out

@@ -1,6 +1,10 @@
 import math
+import os
+import subprocess
+import sys
 import warnings
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,7 +12,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from spdcsim import analysis
+from spdcsim import analysis, trace
 from spdcsim.analysis import (
     BracketError,
     CorrelationSummary,
@@ -30,8 +34,10 @@ from spdcsim.kernel import MODE_GAUSSIAN_APPROX, ParaxialWarning
 from spdcsim.trace import (
     DetectionAssignment,
     SpectralFilter,
+    _pinhole_boxes,
     biphoton_intensity,
     integrate_quadrature,
+    pinhole_smooth,
     resolve_pair,
     spatial_biphoton,
 )
@@ -98,6 +104,49 @@ def test_exact_sinc_quadrature_scan_runs(system):
     dist = run_scan(plan, sinc_system)
     assert np.all(dist.values >= 0.0)
     assert summarize(dist).pearson > 0.0
+
+
+# The default config's ea auto windows at 64^2 (half-widths in m of the
+# centred ranges of detectors A and B), as the SkylakeX kernel gives them.
+# auto_plan's eigh moves them by an ulp on some BLAS kernels, so the rates
+# are pinned on these fixed plans.
+PINNED_WINDOWS = {
+    "y": (0.005412172728792198, 0.005101786256980501),
+    "x": (0.008357658579624661, 0.004008014264519482),
+}
+# sha256 of run_scan(...).values.tobytes() on those plans with no pinhole:
+# the Gaussian-mode rates to the bit. The CSV goldens print 12 significant
+# digits, so they do not pin the last bits.
+RATE_DIGESTS = {
+    "y": "30b8bc6dcc04721523242757409d350dbde89afe053e49eb56a08f164d14d06c",
+    "x": "5e22cbbdc98813cda7d4a021bd8dc2acecb6c5683624394a1ea1a17a9dfc8957",
+}
+RATE_DIGEST_SCRIPT = f"""\
+import hashlib, spdcsim
+system = spdcsim.resolve(spdcsim.default_config()).system
+for axis, (half_a, half_b) in {PINNED_WINDOWS!r}.items():
+    plan = spdcsim.ScanPlan(axis, spdcsim.DetectionAssignment.E_AT_A,
+                            (-half_a, half_a), (-half_b, half_b), 64)
+    print(axis, hashlib.sha256(spdcsim.run_scan(plan, system).values.tobytes()).hexdigest())
+"""
+
+
+@pytest.mark.parametrize("coretype", [None, "Sandybridge"])
+def test_gaussian_scan_rates_are_pinned_to_the_bit(coretype):
+    # OpenBLAS reads OPENBLAS_CORETYPE once, when numpy is imported, so each
+    # run is a fresh process: on the kernel picked for this CPU, and on the
+    # Sandybridge kernel. Where OpenBLAS has no run-time dispatch, or numpy
+    # uses another BLAS, the variable is ignored.
+    src = str(Path(analysis.__file__).resolve().parents[1])
+    env = {
+        **{k: v for k, v in os.environ.items() if k != "OPENBLAS_CORETYPE"},
+        "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])),
+    }
+    if coretype:
+        env["OPENBLAS_CORETYPE"] = coretype
+    proc = subprocess.run([sys.executable, "-c", RATE_DIGEST_SCRIPT], env=env, check=True,
+                          capture_output=True, text=True)
+    assert dict(line.split() for line in proc.stdout.splitlines()) == RATE_DIGESTS
 
 
 # ---------------------------------------------------------------- auto window
@@ -683,13 +732,29 @@ def test_sign_transition_ends_below_the_float_spacing_of_the_bracket(system):
 
 
 def reference_pearson_at(plan, system, waist, pinhole_diameter):
-    """One whole ``run_scan`` and summary per waist: the sweeps' oracle."""
+    """One whole ``run_scan`` and summary per waist: the smoothed grid's Pearson."""
     swept = system.with_isotropic_waist(waist)
     return summarize(run_scan(plan, swept, pinhole_diameter=pinhole_diameter)).pearson
 
 
+def plan_boxes(plan, pinhole_diameter):
+    """The ``_pinhole_boxes`` of a plan's grid, as a list."""
+    if not pinhole_diameter:
+        return []
+    steps = [np.diff(np.linspace(*rng, plan.points)[:2])[0] for rng in (plan.range_a, plan.range_b)]
+    return list(_pinhole_boxes(pinhole_diameter, steps, (plan.points, plan.points)))
+
+
+def moments_pearson_at(plan, system, waist, pinhole_diameter):
+    """One whole unnormalized ``run_scan`` per waist, read by ``_moments`` with the plan's boxes."""
+    dist = run_scan(plan, system.with_isotropic_waist(waist), normalize=False)
+    boxes = plan_boxes(plan, pinhole_diameter)
+    return analysis._moments(dist.values, dist.momenta_a, dist.momenta_b, boxes)[0]
+
+
 # the sweeps trace the plan once and redo only the pump's work per waist;
-# every Pearson must equal that of a whole scan at that waist, bit for bit
+# every Pearson must equal the moments of a whole scan at that waist, bit
+# for bit
 SWEEP_CASES = [  # pump, mode, points per axis, waists per sweep
     ("cw", "gaussian_approx", 64, 12),
     ("pulsed", "gaussian_approx", 64, 12),
@@ -705,7 +770,7 @@ def test_waist_sweep_equals_one_scan_per_waist(kind, mode, points, count, axis, 
     plan = auto_plan(axis, EA, system, points)
     waists = np.linspace(31e-6, 500e-6, count)
     swept = waist_sweep(axis, waists, system, plan=plan, pinhole_diameter=pinhole)
-    assert swept == [(w, reference_pearson_at(plan, system, w, pinhole)) for w in waists]
+    assert swept == [(w, moments_pearson_at(plan, system, w, pinhole)) for w in waists]
 
 
 @pytest.mark.parametrize("pinhole", [0.0, PINHOLE])
@@ -732,7 +797,103 @@ def test_sign_transition_evaluates_one_scan_per_waist(monkeypatch, kind, mode, p
     assert 31e-6 < waist < 500e-6
     assert len(evaluations) > 2  # both endpoints and at least one midpoint
     for w, pearson in evaluations:
-        assert pearson == reference_pearson_at(plan, system, w, pinhole)
+        assert pearson == moments_pearson_at(plan, system, w, pinhole)
+
+
+def one_axis_plan(system, axis, points, smoothed):
+    """An auto plan and a pinhole diameter with taps on grid axis ``smoothed`` only.
+
+    The diameter is 1.5 steps of the other detector, so that detector gets
+    no tap; the smoothed detector's range shrinks about its midpoint to a
+    step of half the other's, so it gets one.
+    """
+    plan = auto_plan(axis, EA, system, points)
+    ranges = [plan.range_a, plan.range_b]
+    other = ranges[1 - smoothed]
+    step = (other[1] - other[0]) / (points - 1)
+    mid = 0.5 * sum(ranges[smoothed])
+    half = 0.25 * step * (points - 1)
+    ranges[smoothed] = (mid - half, mid + half)
+    return replace(plan, range_a=ranges[0], range_b=ranges[1]), 1.5 * step
+
+
+# Largest |sweep - summarize(run_scan(...))| in Pearson over these cases was
+# 4.4e-16 (smoothed grid normalized to its peak against moments of the
+# unnormalized grid): rounding only
+MOMENTS_PEARSON_TOLERANCE = 2e-15
+
+
+def assert_sweep_matches_the_smoothed_grid(axis, system, plan, pinhole, count):
+    waists = np.linspace(31e-6, 500e-6, count)
+    swept = waist_sweep(axis, waists, system, plan=plan, pinhole_diameter=pinhole)
+    expected = [reference_pearson_at(plan, system, w, pinhole) for w in waists]
+    assert [p for _, p in swept] == pytest.approx(expected, rel=0.0, abs=MOMENTS_PEARSON_TOLERANCE)
+
+
+@pytest.mark.parametrize("pinhole", [0.0, PINHOLE])
+@pytest.mark.parametrize("axis", ["y", "x"])
+@pytest.mark.parametrize("kind, mode, points, count", SWEEP_CASES)
+def test_waist_sweep_matches_the_smoothed_grid(kind, mode, points, count, axis, pinhole):
+    system = relabel_system(kind, mode)
+    plan = auto_plan(axis, EA, system, points)
+    assert_sweep_matches_the_smoothed_grid(axis, system, plan, pinhole, count)
+
+
+@pytest.mark.parametrize("smoothed", [0, 1])
+@pytest.mark.parametrize("axis", ["y", "x"])
+@pytest.mark.parametrize("kind, mode, points, count", SWEEP_CASES)
+def test_waist_sweep_matches_the_smoothed_grid_with_taps_on_one_axis(
+    kind, mode, points, count, axis, smoothed
+):
+    system = relabel_system(kind, mode)
+    plan, pinhole = one_axis_plan(system, axis, points, smoothed)
+    assert [box_axis for box_axis, _, _ in plan_boxes(plan, pinhole)] == [smoothed]
+    assert_sweep_matches_the_smoothed_grid(axis, system, plan, pinhole, count)
+
+
+def test_sweeps_never_form_the_smoothed_grid(monkeypatch, system):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a sweep formed the N^2 smoothed grid")
+
+    monkeypatch.setattr(analysis, "pinhole_smooth", refuse)
+    monkeypatch.setattr(trace, "pinhole_smooth", refuse)
+    plan = auto_plan("y", EA, system, 32)
+    with pytest.raises(AssertionError, match="smoothed grid"):
+        run_scan(plan, system, pinhole_diameter=PINHOLE)  # the patch is live
+    assert len(waist_sweep("y", [31e-6, 500e-6], system, plan=plan,
+                           pinhole_diameter=PINHOLE)) == 2
+    assert 31e-6 < find_sign_transition("y", 31e-6, 500e-6, 1e-6, system, plan=plan,
+                                        pinhole_diameter=PINHOLE) < 500e-6
+
+
+@pytest.mark.parametrize("axes", [(0,), (1,), (0, 1)])
+def test_moments_match_summarize_of_the_smoothed_grid(axes):
+    rng = np.random.default_rng(11)
+    u = np.linspace(-3.0, 2.0, 24)
+    grid = rng.random((24, 24)) ** 4
+    steps = (1e-4, 1e-4)
+    boxes = [box for box in _pinhole_boxes(7.5e-4, steps, grid.shape) if box[0] in axes]
+    smoothed = grid
+    for axis, taps, box in boxes:
+        smoothed = (box @ smoothed if axis == 0 else smoothed @ box) / (2 * taps + 1)
+    want = summarize(synthetic_distribution(smoothed, u, u))
+    pearson, var_a, var_b, cov_ab = analysis._moments(grid, u, u, boxes)
+    got = np.array([[var_a, cov_ab], [cov_ab, var_b]])
+    assert pearson == pytest.approx(want.pearson, rel=1e-14)
+    assert np.allclose(got, want.covariance, rtol=1e-14, atol=0.0)
+    if axes == (0, 1):
+        full = summarize(synthetic_distribution(pinhole_smooth(grid, steps, 7.5e-4), u, u))
+        assert pearson == pytest.approx(full.pearson, rel=1e-14)
+
+
+def test_moments_reject_zero_variance_left_by_one_axis_box():
+    # one cell: the box on axis 0 spreads it over rows, axis 1 keeps one column
+    grid = np.zeros((16, 16))
+    grid[5, 9] = 1.0
+    u = np.linspace(-1.0, 1.0, 16)
+    boxes = [box for box in _pinhole_boxes(7.5e-4, (1e-4, 1e-4), grid.shape) if box[0] == 0]
+    with pytest.raises(DegenerateDistributionError, match="zero variance"):
+        analysis._moments(grid, u, u, boxes)
 
 
 def paraxial_warnings(call):
@@ -758,8 +919,12 @@ def test_sweeps_warn_for_a_plan_past_the_paraxial_limit_once_per_call(system):
 @pytest.mark.filterwarnings("error::spdcsim.kernel.ParaxialWarning")
 def test_waist_sweep_rejects_an_all_zero_grid(system):
     plan = ScanPlan("y", EA, (70e-3, 71e-3), (-71e-3, -70e-3), 8)  # as for run_scan below
-    with pytest.raises(DegenerateDistributionError, match="all-zero grid"):
-        waist_sweep("y", [31e-6, 500e-6], system, plan=plan)
+    for pinhole in (0.0, 5e-4):
+        with pytest.raises(DegenerateDistributionError, match="all-zero grid"):
+            waist_sweep("y", [31e-6, 500e-6], system, plan=plan, pinhole_diameter=pinhole)
+        with pytest.raises(DegenerateDistributionError, match="all-zero grid"):
+            find_sign_transition("y", 31e-6, 500e-6, 1e-6, system, plan=plan,
+                                 pinhole_diameter=pinhole)
 
 
 @pytest.mark.parametrize("diameter, message", [
@@ -829,6 +994,8 @@ def test_run_scan_rejects_an_all_zero_grid(system, axis):
     plan = ScanPlan(axis, EA, (70e-3, 71e-3), (-71e-3, -70e-3), 8)
     with pytest.raises(DegenerateDistributionError, match="all-zero grid"):
         run_scan(plan, system)
+    with pytest.raises(DegenerateDistributionError, match="all-zero grid"):
+        run_scan(plan, system, normalize=False)
 
 
 # ---------------------------------------------------------------- validation

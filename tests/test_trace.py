@@ -16,6 +16,8 @@ from spdcsim.kernel import (
     PumpEnvelope,
     SpdcGeometry,
     TransverseWavevector,
+    mismatch_longitudinal,
+    mismatch_transverse_y,
     mode_function,
 )
 from spdcsim.trace import (
@@ -224,6 +226,21 @@ def test_form_batched_momenta_share_one_matrix(system):
     matrix, linear = trace_module._window_form(qvec(qy=qy), qvec(qy=0.5 * qy), system, EA)
     assert matrix.shape == (2, 2)
     assert linear.shape == (7, 2)
+
+
+def test_frequency_rows_are_read_once_per_geometry(system):
+    # a1 and ak, the mismatches at zero momentum and unit detuning, hold no
+    # pump term: every waist of a sweep shares the rows of its geometry
+    geom = system.geometry
+    a1, ak = trace_module._frequency_rows(geom)
+    assert trace_module._frequency_rows(replace(geom))[0] is a1  # an equal geometry hits
+    assert not (a1.flags.writeable or ak.flags.writeable)
+    zero, (unit_e, unit_o) = qvec(), np.eye(2)
+    assert np.array_equal(a1, mismatch_transverse_y(zero, unit_e, zero, unit_o, geom))
+    assert np.array_equal(ak, mismatch_longitudinal(zero, unit_e, zero, unit_o, geom))
+    swept = system.with_isotropic_waist(2e-4)
+    rows = trace_module._form_constants(swept, SINC_GAUSSIAN_GAMMA)[0]
+    assert np.array_equal(rows[0], -(swept.pump.waist_y**2 / 2.0) * a1)
 
 
 # ---------------------------------------------------------------- closed forms
