@@ -32,9 +32,9 @@ Every row uses the default config, whose 2 mm pinhole is on. The rows are:
   in the Gaussian mode, with a CW pump and with a 0.5 nm pulsed pump,
   computed three ways: ``centred_axes`` is what ``run_scan`` uses, two
   length-N log-intensity terms added to one N^2 outer product about the
-  window midpoints and one exponential, timed as the whole unnormalized
-  grid of ``analysis._plan_scan`` with no pinhole, from the plan's
-  mismatches to the checked ``JointDistribution``; ``real_log_intensity`` is
+  window midpoints and one exponential, timed as the bare rates of
+  ``analysis._plan_scan``, from the plan's mismatches to the exponential,
+  with no pinhole, check or normalization; ``real_log_intensity`` is
   ``biphoton_intensity``, one real exponential of the quadratic
   log-intensity per cell of broadcast momentum axes;
   ``complex_amplitude`` is ``np.abs(spatial_biphoton(...)) ** 2``.
@@ -155,13 +155,13 @@ def test_pinhole_smooth(benchmark, run, points):
     benchmark.group = "pinhole_smooth"
     benchmark.extra_info["points"] = points**2
     plan = auto_plan("y", DetectionAssignment.E_AT_A, run.system, points)
-    grid = run_scan(plan, run.system, normalize=False)
-    steps = (grid.positions_a[1] - grid.positions_a[0], grid.positions_b[1] - grid.positions_b[0])
+    (_, _, steps), rates = analysis._plan_scan(plan, run.system)
+    grid = rates(None)
     out = benchmark.pedantic(
-        pinhole_smooth, args=(grid.values, steps, run.pinhole_diameter),
+        pinhole_smooth, args=(grid, steps, run.pinhole_diameter),
         rounds=PINHOLE_ROUNDS[points], warmup_rounds=1,
     )
-    assert out.sum() == pytest.approx(grid.values.sum(), rel=1e-12)
+    assert out.sum() == pytest.approx(grid.sum(), rel=1e-12)
     assert out.min() > 0.0
 
 
@@ -225,7 +225,7 @@ def test_scan_intensity(benchmark, pump, path):
     plan = auto_plan("y", ea, system, INTENSITY_POINTS)
     q_A, q_B = window_momenta(system, "y", ea, plan.range_a, plan.range_b, plan.points)
     rates = {
-        "centred_axes": lambda: analysis._plan_scan(plan, system, 0.0, False)(None).values,
+        "centred_axes": lambda: analysis._plan_scan(plan, system)[1](None),
         "real_log_intensity": lambda: biphoton_intensity(q_A, q_B, system, ea),
         "complex_amplitude": lambda: amplitude_squared(q_A, q_B, system, ea),
     }

@@ -161,47 +161,52 @@ def run_scan(
     system: OpticalSystem,
     *,
     pinhole_diameter: float = 0.0,
-    normalize: bool = True,
 ) -> JointDistribution:
     """Evaluate the coincidence rate over the plan's Cartesian position grid.
 
-    In the Gaussian mode's closed form the log-intensity is an exact
-    quadratic in the scan momenta, so the rates are one exponential of two
-    length-N terms and one N x N outer product. The exact-sinc mode takes
-    ``np.abs(spatial_biphoton(...)) ** 2`` on broadcast momentum axes. Both
-    are the grid of ``_plan_scan`` at the pump of ``system``; the pinhole is
-    ``pinhole_smooth``, which builds and frees each axis's box in turn. A
-    grid with no positive cell raises DegenerateDistributionError, whether
-    or not it is normalized.
+    The only place where rates become a distribution: the rates of
+    ``_plan_scan`` at the pump of ``system``, then the pinhole
+    (``pinhole_smooth``), then a DegenerateDistributionError for a grid
+    with no positive cell, then the division by the peak and the
+    ``JointDistribution`` checks.
     """
-    return _plan_scan(plan, system, pinhole_diameter, normalize)(None)
+    ((positions_a, positions_b), (momenta_a, momenta_b), steps), rates = _plan_scan(plan, system)
+    values = rates(None)
+    if pinhole_diameter:
+        values = pinhole_smooth(values, steps, pinhole_diameter)
+    peak = values.max()
+    if peak <= 0.0:
+        raise DegenerateDistributionError("scan produced an all-zero grid")
+    values /= peak  # a fresh grid from the trace or the pinhole
+    return JointDistribution(
+        axis=plan.axis,
+        assignment=plan.assignment,
+        positions_a=positions_a,
+        positions_b=positions_b,
+        momenta_a=momenta_a,
+        momenta_b=momenta_b,
+        values=values,
+    )
 
 
-def _plan_positions(plan):
-    """The detector positions (m) of the plan's two axes and their steps, the pinhole's."""
-    positions_a = np.linspace(plan.range_a[0], plan.range_a[1], plan.points)
-    positions_b = np.linspace(plan.range_b[0], plan.range_b[1], plan.points)
-    steps = (positions_a[1] - positions_a[0], positions_b[1] - positions_b[0])
-    return positions_a, positions_b, steps
+def _plan_scan(plan, system):
+    """The plan's axes and its bare rates as a function of the isotropic pump waist.
 
-
-def _plan_scan(plan, system, pinhole_diameter, normalize=True):
-    """The scan of ``plan`` as a function of the isotropic pump waist (None: as given).
-
-    The plan's work, which no pump term enters, is done once: positions,
-    momenta, the mismatches at the nodes (``_scan_mismatches``) or the
-    exact-sinc wavevectors and the paraxial checks. The sweeps take the
-    grid unnormalized and with no pinhole, and read its smoothed moments
-    from vectors (``_moments``). Per waist, about the window midpoints
-    (c_a, c_b), log I = r_a(q_a) + r_b(q_b) + 2 h (q_a - c_a)(q_b - c_b):
-    r_a along the row through c_b, r_b along the column through c_a less
-    log I there, h = J_a^T alpha J_b. Two length-N terms go into one N x N
-    outer product and one in-place exponential gives the rates. A grid with
-    no positive cell raises DegenerateDistributionError before any
-    normalization.
+    Returns ((positions_a, positions_b), (momenta_a, momenta_b), steps) and
+    ``rates(waist)``, the fresh N x N grid at that waist (None: as given),
+    with no pinhole, check or normalization. The plan's work, which no
+    pump term enters, is done once: the axes, the mismatches at the nodes
+    (``_scan_mismatches``) or the exact-sinc wavevectors, and the paraxial
+    checks. In the Gaussian mode, about the window midpoints (c_a, c_b),
+    log I = r_a(q_a) + r_b(q_b) + 2 h (q_a - c_a)(q_b - c_b): r_a along the
+    row through c_b, r_b along the column through c_a less log I there,
+    h = J_a^T alpha J_b, so one outer product and one exponential give the
+    rates. The exact-sinc mode takes ``np.abs(spatial_biphoton(...)) ** 2``.
     """
     n = plan.points
-    positions_a, positions_b, steps = _plan_positions(plan)
+    positions_a = np.linspace(plan.range_a[0], plan.range_a[1], n)
+    positions_b = np.linspace(plan.range_b[0], plan.range_b[1], n)
+    steps = (positions_a[1] - positions_a[0], positions_b[1] - positions_b[0])
     fourier = system.fourier
     lam_a, lam_b = resolve_pair(fourier.wavelength_e, fourier.wavelength_o, plan.assignment)
     momenta_a = np.asarray(fourier.position_to_momentum(positions_a, lam_a))
@@ -225,36 +230,19 @@ def _plan_scan(plan, system, pinhole_diameter, normalize=True):
     q_A.check_paraxial(lam_a)
     q_B.check_paraxial(lam_b)
 
-    def scan(waist):
+    def rates(waist):
         swept = system if waist is None else system.with_isotropic_waist(waist)
-        if gaussian:
-            coefficients, alpha = _log_intensity_model(swept)
-            log_rates = _log_intensity(coefficients, *d)
-            cross = 2.0 * (jacobian[:, 0] @ alpha @ jacobian[:, 1])
-            values = np.multiply.outer(u, cross * v)
-            values += log_rates[:n, np.newaxis]
-            values += log_rates[n : 2 * n] - log_rates[-1]
-            np.exp(values, out=values)
-        else:
-            values = np.abs(spatial_biphoton(q_A, q_B, swept, plan.assignment)) ** 2
-        if pinhole_diameter:
-            values = pinhole_smooth(values, steps, pinhole_diameter)
-        peak = values.max()
-        if peak <= 0.0:
-            raise DegenerateDistributionError("scan produced an all-zero grid")
-        if normalize:
-            values /= peak  # a fresh grid from the trace or the pinhole
-        return JointDistribution(
-            axis=plan.axis,
-            assignment=plan.assignment,
-            positions_a=positions_a,
-            positions_b=positions_b,
-            momenta_a=momenta_a,
-            momenta_b=momenta_b,
-            values=values,
-        )
+        if not gaussian:
+            return np.abs(spatial_biphoton(q_A, q_B, swept, plan.assignment)) ** 2
+        coefficients, alpha = _log_intensity_model(swept)
+        log_rates = _log_intensity(coefficients, *d)
+        cross = 2.0 * (jacobian[:, 0] @ alpha @ jacobian[:, 1])
+        values = np.multiply.outer(u, cross * v)
+        values += log_rates[:n, np.newaxis]
+        values += log_rates[n : 2 * n] - log_rates[-1]
+        return np.exp(values, out=values)
 
-    return scan
+    return ((positions_a, positions_b), (momenta_a, momenta_b), steps), rates
 
 
 def _log_intensity_model(system):
@@ -298,7 +286,8 @@ def summarize(dist: JointDistribution) -> CorrelationSummary:
     Means and variances come from the marginals (the grid's row and column
     sums), and the covariance from one matrix-vector product,
     (q_a - m_a) . (grid @ (q_b - m_b)) / total, so no grid-sized temporary
-    is made (``_moments``, which the waist sweeps share).
+    is made (``_moments``, which the waist sweeps share). A grid whose
+    finite cells overflow in their sum raises ValueError.
     """
     values = np.asarray(dist.values, dtype=float)
     pearson, var_a, var_b, cov_ab = _moments(values, dist.momenta_a, dist.momenta_b)
@@ -325,6 +314,9 @@ def _moments(values, q_a, q_b, boxes=()):
     and B_b (G^T 1) and S c_b is B_a (G (B_b c_b)): three passes over G and
     a few length-N products. The weights cancel in the means and the
     variances, and of the covariance's only axis b's is left.
+    Its checks need no pass of their own: with no negative cell, a NaN or
+    inf cell or an overflowing sum leaves the total non-finite (ValueError)
+    and an all-zero grid leaves it zero (DegenerateDistributionError).
     """
     box_of = {axis: box for axis, _, box in boxes}
 
@@ -333,8 +325,12 @@ def _moments(values, q_a, q_b, boxes=()):
 
     marginal_a = smooth(0, values.sum(axis=1))
     total = float(marginal_a.sum())
+    if not math.isfinite(total):
+        if np.isfinite(values).all():
+            raise ValueError("distribution has a non-finite total weight: its sum overflows")
+        raise ValueError("distribution contains non-finite entries")
     if total <= 0.0:
-        raise DegenerateDistributionError("distribution has zero total weight")
+        raise DegenerateDistributionError("scan produced an all-zero grid")
     # each marginal over its own sum: support on one row or column gets a
     # weight of exactly 1 there, so the mean is that node and the variance 0
     weights_a = marginal_a / total
@@ -457,9 +453,9 @@ def _pearson_by_waist(axis, system, plan, points, pinhole_diameter):
     ``points``, when given, must be the plan's. The plan's work and checks
     run here, once: the scan's (``_plan_scan``) and the pinhole's boxes,
     whose checks raise before any box is built. Each waist redoes only the
-    pump's work, the unnormalized grid with its ``JointDistribution``
-    checks, and reads Pearson from ``_moments`` of that grid and the boxes,
-    so no smoothed grid is formed.
+    pump's work, the bare rates, and reads Pearson from ``_moments`` of
+    them and the boxes, whose checks are the rates' only ones: no
+    ``JointDistribution`` or smoothed grid is formed.
     """
     if plan is None:
         plan = auto_plan(
@@ -469,15 +465,13 @@ def _pearson_by_waist(axis, system, plan, points, pinhole_diameter):
         raise ValueError(f"axis {axis!r} differs from the plan's axis {plan.axis!r}")
     elif points is not None and points != plan.points:
         raise ValueError(f"points={points} differs from the plan's {plan.points} points")
-    scan = _plan_scan(plan, system, 0.0, normalize=False)
+    (_, (momenta_a, momenta_b), steps), rates = _plan_scan(plan, system)
     boxes = []
     if pinhole_diameter:
-        steps = _plan_positions(plan)[2]
         boxes = list(_pinhole_boxes(pinhole_diameter, steps, (plan.points, plan.points)))
 
     def pearson_at(waist):
-        dist = scan(waist)
-        return _moments(dist.values, dist.momenta_a, dist.momenta_b, boxes)[0]
+        return _moments(rates(waist), momenta_a, momenta_b, boxes)[0]
 
     return pearson_at
 
@@ -497,8 +491,9 @@ def waist_sweep(
     ``points`` per axis (64 when None); a plan on another axis than
     ``axis``, or of another size than a given ``points``, raises ValueError.
     Each waist's Pearson is that of ``summarize(run_scan(...))`` at that
-    waist up to rounding, read from the unsmoothed grid and the pinhole's
-    boxes (``_moments``), so no smoothed grid is formed.
+    waist up to rounding, read from the bare rates and the pinhole's boxes
+    (``_moments``), so no smoothed grid is formed. Rates that are all zero
+    raise DegenerateDistributionError, and non-finite ones ValueError.
     """
     waists = [float(w) for w in waists]
     bad = [w for w in waists if not 0.0 < w < math.inf]

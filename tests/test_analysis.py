@@ -540,6 +540,11 @@ def plan_axes(plan, system):
     return positions, momenta
 
 
+def bare_rates(plan, system):
+    """The fresh, unnormalized rate grid of ``run_scan``, from ``_plan_scan``."""
+    return analysis._plan_scan(plan, system)[1](None)
+
+
 def meshgrid_scan_values(plan, system):
     """Intensities of a scan traced on full N x N meshgrids of detector momenta."""
     grid_a, grid_b = np.meshgrid(*plan_axes(plan, system)[1], indexing="ij")
@@ -577,8 +582,7 @@ def quadrature_scan(plan, system):
 def test_scan_on_broadcast_axes_matches_meshgrid_trace_bitwise(kind, mode, axis, orthogonal):
     system = relabel_system(kind, mode)
     plan = auto_plan(axis, EA, system, 24, orthogonal=orthogonal)
-    dist = run_scan(plan, system, normalize=False)
-    assert np.array_equal(dist.values, meshgrid_scan_values(plan, system))
+    assert np.array_equal(bare_rates(plan, system), meshgrid_scan_values(plan, system))
 
 
 @pytest.mark.parametrize("orthogonal", [0.0, 1e-3])
@@ -590,7 +594,7 @@ def test_gaussian_scan_rates_match_intensity_on_auto_windows(kind, axis, assignm
     # measured worst case 4.3e-14
     system = relabel_system(kind, MODE_GAUSSIAN_APPROX)
     plan = auto_plan(axis, assignment, system, 48, orthogonal=orthogonal)
-    got = run_scan(plan, system, normalize=False).values
+    got = bare_rates(plan, system)
     expected = meshgrid_scan_values(plan, system)
     assert np.max(np.abs(got - expected) / expected) <= 1e-13
 
@@ -607,7 +611,7 @@ def test_gaussian_scan_rates_keep_the_zero_cells_of_8x_windows(kind, axis):
         range_a=tuple(8.0 * np.asarray(auto.range_a) - 7.0 * np.mean(auto.range_a)),
         range_b=tuple(8.0 * np.asarray(auto.range_b) - 7.0 * np.mean(auto.range_b)),
     )
-    got = run_scan(plan, system, normalize=False).values
+    got = bare_rates(plan, system)
     expected = meshgrid_scan_values(plan, system)
     assert np.any(expected == 0.0)
     assert np.array_equal(got == 0.0, expected == 0.0)
@@ -746,10 +750,10 @@ def plan_boxes(plan, pinhole_diameter):
 
 
 def moments_pearson_at(plan, system, waist, pinhole_diameter):
-    """One whole unnormalized ``run_scan`` per waist, read by ``_moments`` with the plan's boxes."""
-    dist = run_scan(plan, system.with_isotropic_waist(waist), normalize=False)
+    """One whole scan's bare rates per waist, read by ``_moments`` with the plan's boxes."""
+    (_, momenta, _), rates = analysis._plan_scan(plan, system.with_isotropic_waist(waist))
     boxes = plan_boxes(plan, pinhole_diameter)
-    return analysis._moments(dist.values, dist.momenta_a, dist.momenta_b, boxes)[0]
+    return analysis._moments(rates(None), *momenta, boxes)[0]
 
 
 # the sweeps trace the plan once and redo only the pump's work per waist;
@@ -851,15 +855,39 @@ def test_waist_sweep_matches_the_smoothed_grid_with_taps_on_one_axis(
     assert_sweep_matches_the_smoothed_grid(axis, system, plan, pinhole, count)
 
 
-def test_sweeps_never_form_the_smoothed_grid(monkeypatch, system):
-    def refuse(*args, **kwargs):
-        raise AssertionError("a sweep formed the N^2 smoothed grid")
+class RatesWithoutExtrema(np.ndarray):
+    """A rate grid whose ``max`` and ``min`` refuse: the N^2 passes a sweep must not take."""
 
-    monkeypatch.setattr(analysis, "pinhole_smooth", refuse)
-    monkeypatch.setattr(trace, "pinhole_smooth", refuse)
+    def max(self, *args, **kwargs):
+        raise AssertionError("a sweep took an N^2 max or min of its rates")
+
+    min = max
+
+
+def test_sweeps_never_form_the_smoothed_grid(monkeypatch, system):
+    def refuse(what):
+        def refused(*args, **kwargs):
+            raise AssertionError(f"a sweep formed {what}")
+
+        return refused
+
+    monkeypatch.setattr(analysis, "pinhole_smooth", refuse("the N^2 smoothed grid"))
+    monkeypatch.setattr(trace, "pinhole_smooth", refuse("the N^2 smoothed grid"))
+    monkeypatch.setattr(analysis, "JointDistribution", refuse("a JointDistribution"))
     plan = auto_plan("y", EA, system, 32)
     with pytest.raises(AssertionError, match="smoothed grid"):
-        run_scan(plan, system, pinhole_diameter=PINHOLE)  # the patch is live
+        run_scan(plan, system, pinhole_diameter=PINHOLE)  # the patches are live
+    with pytest.raises(AssertionError, match="JointDistribution"):
+        run_scan(plan, system)
+    plan_scan = analysis._plan_scan
+
+    def rates_without_extrema(*args):
+        axes, rates = plan_scan(*args)
+        return axes, lambda waist: rates(waist).view(RatesWithoutExtrema)
+
+    monkeypatch.setattr(analysis, "_plan_scan", rates_without_extrema)
+    with pytest.raises(AssertionError, match="N\\^2 max"):
+        run_scan(plan, system)  # run_scan takes its max; the sweeps must not
     assert len(waist_sweep("y", [31e-6, 500e-6], system, plan=plan,
                            pinhole_diameter=PINHOLE)) == 2
     assert 31e-6 < find_sign_transition("y", 31e-6, 500e-6, 1e-6, system, plan=plan,
@@ -925,6 +953,57 @@ def test_waist_sweep_rejects_an_all_zero_grid(system):
         with pytest.raises(DegenerateDistributionError, match="all-zero grid"):
             find_sign_transition("y", 31e-6, 500e-6, 1e-6, system, plan=plan,
                                  pinhole_diameter=pinhole)
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")  # inf * 0
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("pinhole", [0.0, PINHOLE])
+def test_sweeps_reject_non_finite_rates(monkeypatch, system, pinhole, bad):
+    log_intensity = analysis._log_intensity
+
+    def poisoned(*args):
+        log_rates = log_intensity(*args)
+        log_rates[0] = bad  # the first row of every waist's grid
+        return log_rates
+
+    monkeypatch.setattr(analysis, "_log_intensity", poisoned)
+    plan = auto_plan("y", EA, system, 16)
+    with pytest.raises(ValueError, match="distribution contains non-finite entries"):
+        waist_sweep("y", [31e-6, 500e-6], system, plan=plan, pinhole_diameter=pinhole)
+    with pytest.raises(ValueError, match="distribution contains non-finite entries"):
+        find_sign_transition("y", 31e-6, 500e-6, 1e-6, system, plan=plan,
+                             pinhole_diameter=pinhole)
+
+
+def overflowing_grid(shape):
+    """Finite cells of 1e307 and one of 1.7e308, whose sum overflows."""
+    values = np.full(shape, 1e307)
+    values[2, 5] = 1.7e308
+    return values
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_summarize_rejects_a_total_that_overflows():
+    u = np.linspace(-1.0, 1.0, 8)
+    dist = synthetic_distribution(overflowing_grid((8, 8)), u, u)  # every cell passes
+    with pytest.raises(ValueError, match="non-finite total weight"):
+        summarize(dist)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_sweeps_reject_rates_whose_total_overflows(monkeypatch, system):
+    plan_scan = analysis._plan_scan
+
+    def overflowing(*args):
+        axes, rates = plan_scan(*args)
+        return axes, lambda waist: overflowing_grid(rates(waist).shape)
+
+    monkeypatch.setattr(analysis, "_plan_scan", overflowing)
+    plan = auto_plan("y", EA, system, 16)
+    with pytest.raises(ValueError, match="non-finite total weight"):
+        waist_sweep("y", [31e-6, 500e-6], system, plan=plan)
+    with pytest.raises(ValueError, match="non-finite total weight"):
+        find_sign_transition("y", 31e-6, 500e-6, 1e-6, system, plan=plan)
 
 
 @pytest.mark.parametrize("diameter, message", [
@@ -994,8 +1073,6 @@ def test_run_scan_rejects_an_all_zero_grid(system, axis):
     plan = ScanPlan(axis, EA, (70e-3, 71e-3), (-71e-3, -70e-3), 8)
     with pytest.raises(DegenerateDistributionError, match="all-zero grid"):
         run_scan(plan, system)
-    with pytest.raises(DegenerateDistributionError, match="all-zero grid"):
-        run_scan(plan, system, normalize=False)
 
 
 # ---------------------------------------------------------------- validation
