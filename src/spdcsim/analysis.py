@@ -22,9 +22,9 @@ from .trace import (
     _mismatches,
     _pinhole_boxes,
     _trace_gram,
+    depth_average,
     pinhole_smooth,
     resolve_pair,
-    spatial_biphoton,
 )
 
 AXES = ("x", "y")
@@ -195,13 +195,13 @@ def _plan_scan(plan, system):
     Returns ((positions_a, positions_b), (momenta_a, momenta_b), steps) and
     ``rates(waist)``, the fresh N x N grid at that waist (None: as given),
     with no pinhole, check or normalization. The plan's work, which no
-    pump term enters, is done once: the axes, the mismatches at the nodes
-    (``_scan_mismatches``) or the exact-sinc wavevectors, and the paraxial
-    checks. In the Gaussian mode, about the window midpoints (c_a, c_b),
-    log I = r_a(q_a) + r_b(q_b) + 2 h (q_a - c_a)(q_b - c_b): r_a along the
-    row through c_b, r_b along the column through c_a less log I there,
-    h = J_a^T alpha J_b, so one outer product and one exponential give the
-    rates. The exact-sinc mode takes ``np.abs(spatial_biphoton(...)) ** 2``.
+    pump term enters, is done once: the axes, the mismatches d at the nodes
+    (``_scan_mismatches``) and the paraxial checks. About the window
+    midpoints (c_a, c_b), either mode's log I (``_trace_gram``) is
+    r_a(q_a) + r_b(q_b) + 2 h (q_a - c_a)(q_b - c_b): r_a along the row
+    through c_b, r_b along the column through c_a less log I there, and
+    h = J_a^T alpha J_b (``_bilinear``). So is the exact-sinc phase, linear
+    in d, whose rates then take the depth average of ``_trace_exact_sinc``.
     """
     n = plan.points
     positions_a = np.linspace(plan.range_a[0], plan.range_a[1], n)
@@ -211,46 +211,46 @@ def _plan_scan(plan, system):
     lam_a, lam_b = resolve_pair(fourier.wavelength_e, fourier.wavelength_o, plan.assignment)
     momenta_a = np.asarray(fourier.position_to_momentum(positions_a, lam_a))
     momenta_b = np.asarray(fourier.position_to_momentum(positions_b, lam_b))
-    gaussian = system.mode == MODE_GAUSSIAN_APPROX
-    if gaussian:
-        centre_a = 0.5 * (momenta_a[0] + momenta_a[-1])
-        centre_b = 0.5 * (momenta_b[0] + momenta_b[-1])
-        jacobian, d, (q_A, q_B) = _scan_mismatches(
-            plan.axis, plan.assignment, system, plan.orthogonal,
-            np.concatenate([momenta_a, np.full(n, centre_a), [centre_a]]),
-            np.concatenate([np.full(n, centre_b), momenta_b, [centre_b]]),
-        )
-        u, v = momenta_a - centre_a, momenta_b - centre_b
-    else:
-        # column and row axes broadcast to the grid in every elementwise trace step
-        q_A, q_B = _momentum_pair(
-            plan.axis, plan.assignment, plan.orthogonal, system,
-            momenta_a[:, np.newaxis], momenta_b[np.newaxis, :],
-        )
+    centre_a = 0.5 * (momenta_a[0] + momenta_a[-1])
+    centre_b = 0.5 * (momenta_b[0] + momenta_b[-1])
+    jacobian, d, (q_A, q_B) = _scan_mismatches(
+        plan.axis, plan.assignment, system, plan.orthogonal,
+        np.concatenate([momenta_a, np.full(n, centre_a), [centre_a]]),
+        np.concatenate([np.full(n, centre_b), momenta_b, [centre_b]]),
+    )
     q_A.check_paraxial(lam_a)
     q_B.check_paraxial(lam_b)
+    u, v = momenta_a - centre_a, momenta_b - centre_b
+    gaussian = system.mode == MODE_GAUSSIAN_APPROX
 
     def rates(waist):
         swept = system if waist is None else system.with_isotropic_waist(waist)
-        if not gaussian:
-            return np.abs(spatial_biphoton(q_A, q_B, swept, plan.assignment)) ** 2
-        coefficients, alpha = _log_intensity_model(swept)
+        coefficients, gram = _trace_gram(swept, SINC_GAUSSIAN_GAMMA if gaussian else 0.0)
         log_rates = _log_intensity(coefficients, *d)
-        cross = 2.0 * (jacobian[:, 0] @ alpha @ jacobian[:, 1])
-        values = np.multiply.outer(u, cross * v)
+        values = np.multiply.outer(u, 2.0 * _bilinear(coefficients, *jacobian.T.tolist()) * v)
         values += log_rates[:n, np.newaxis]
         values += log_rates[n : 2 * n] - log_rates[-1]
-        return np.exp(values, out=values)
+        np.exp(values, out=values)
+        if gaussian:
+            return values
+        (_, _, uw), (_, _, vw), (_, _, ww) = gram
+        phase = d[1] * uw + d[2] * (vw + system.geometry.crystal_length / 2.0)
+        slope = 1j * np.add.outer(phase[:n], phase[n : 2 * n] - phase[-1]) - ww
+        values *= np.abs(depth_average(slope, -0.5 * ww, np.sqrt(values))) ** 2
+        return values
 
     return ((positions_a, positions_b), (momenta_a, momenta_b), steps), rates
 
 
-def _log_intensity_model(system):
-    """The ``_trace_gram`` coefficients and alpha (3x3) of log I = d^T alpha d + kappa."""
-    coefficients = _trace_gram(system, SINC_GAUSSIAN_GAMMA)[0]
+def _bilinear(coefficients, x, y):
+    """x^T alpha y in floats and in the order of x @ alpha @ y.
+
+    alpha = [[a00, 0, 0], [0, a11, a12 / 2], [0, a12 / 2, a22]] holds the
+    ``_trace_gram`` coefficients of log I = d^T alpha d + kappa.
+    """
     _, a00, a11, a12, a22 = coefficients
-    alpha = np.array([[a00, 0.0, 0.0], [0.0, a11, a12 / 2.0], [0.0, a12 / 2.0, a22]])
-    return coefficients, alpha
+    a21 = a12 / 2.0
+    return x[0] * a00 * y[0] + (x[1] * a11 + x[2] * a21) * y[1] + (x[1] * a21 + x[2] * a22) * y[2]
 
 
 def _scan_mismatches(axis, assignment, system, orthogonal, q_a, q_b):
@@ -287,7 +287,7 @@ def summarize(dist: JointDistribution) -> CorrelationSummary:
     sums), and the covariance from one matrix-vector product,
     (q_a - m_a) . (grid @ (q_b - m_b)) / total, so no grid-sized temporary
     is made (``_moments``, which the waist sweeps share). A grid whose
-    finite cells overflow in their sum raises ValueError.
+    finite cells overflow in their sum or covariance raises ValueError.
     """
     values = np.asarray(dist.values, dtype=float)
     pearson, var_a, var_b, cov_ab = _moments(values, dist.momenta_a, dist.momenta_b)
@@ -316,7 +316,8 @@ def _moments(values, q_a, q_b, boxes=()):
     variances, and of the covariance's only axis b's is left.
     Its checks need no pass of their own: with no negative cell, a NaN or
     inf cell or an overflowing sum leaves the total non-finite (ValueError)
-    and an all-zero grid leaves it zero (DegenerateDistributionError).
+    and an all-zero grid leaves it zero (DegenerateDistributionError); a
+    covariance that overflows from a finite total is a ValueError too.
     """
     box_of = {axis: box for axis, _, box in boxes}
 
@@ -346,6 +347,8 @@ def _moments(values, q_a, q_b, boxes=()):
     for axis, taps, _ in boxes:
         if axis == 1:  # S c_b carries both window weights, the total only axis a's
             cov_ab /= 2 * taps + 1
+    if not math.isfinite(cov_ab):
+        raise ValueError("distribution's covariance is not finite: its products overflow")
     if var_a <= 0.0 or var_b <= 0.0:
         raise DegenerateDistributionError(
             "zero variance along a scan axis; correlation is undefined"
@@ -357,32 +360,39 @@ def _moments(values, q_a, q_b, boxes=()):
 def _gaussian_model_moments(axis, assignment, system, orthogonal=0.0):
     """Momentum mean and covariance of the scan predicted by the Gaussian model.
 
-    Its log-intensity (``_log_intensity_model``, which ``run_scan`` reads
-    too) is d^T alpha d + kappa in d = J q + d_off (``_scan_mismatches``),
-    linear in the scan momenta q, so the precision is -2 J^T alpha J and
-    the gradient at q = 0 is 2 J^T alpha d_off. They are taken for
-    q = (q_e, q_o) and put in detector order by ``resolve_pair``, so the
-    oa window is the ea one with its detectors swapped.
-    Pure ridges are capped at a fixed variance ratio to the stiffest
-    direction. Exact-sinc windows use them too.
+    Its log-intensity (``_trace_gram``, ``_bilinear``) is d^T alpha d + kappa
+    in d = J q + d_off (``_scan_mismatches``), linear in the scan momenta q,
+    so the precision is -2 J^T alpha J and the gradient at q = 0 is
+    2 J^T alpha d_off. They are taken for q = (q_e, q_o), decomposed in
+    closed form in floats, so no BLAS or LAPACK kernel enters the window,
+    and put in detector order by ``resolve_pair``: the oa window is the ea
+    one with its detectors swapped. Pure ridges are capped at a fixed
+    variance ratio to the stiffest direction. Exact-sinc windows use them too.
     """
-    _, alpha = _log_intensity_model(system)
+    coefficients = _trace_gram(system, SINC_GAUSSIAN_GAMMA)[0]
     jacobian, at_offset, _ = _scan_mismatches(
         axis, DetectionAssignment.E_AT_A, system, orthogonal, [0.0], [0.0]
     )
-    offset = at_offset[:, 0]
-    precision = -2.0 * jacobian.T @ alpha @ jacobian
-    gradient = 2.0 * jacobian.T @ alpha @ offset
-    eigenvalues, vectors = np.linalg.eigh(precision)
-    stiffest = eigenvalues.max()
+    j_e, j_o = jacobian.T.tolist()
+    p_ee = -2.0 * _bilinear(coefficients, j_e, j_e)
+    p_eo = -2.0 * _bilinear(coefficients, j_e, j_o)
+    p_oo = -2.0 * _bilinear(coefficients, j_o, j_o)
+    g_e, g_o = (2.0 * _bilinear(coefficients, x, at_offset[:, 0].tolist()) for x in (j_e, j_o))
+    mid, radius = 0.5 * (p_ee + p_oo), math.hypot(0.5 * (p_ee - p_oo), p_eo)
+    stiffest = mid + radius
     if stiffest <= 0.0:
         raise DegenerateDistributionError("scan model is unbounded in every direction")
-    eigenvalues = np.maximum(eigenvalues, stiffest / _VARIANCE_RATIO_CAP)
-    covariance = vectors @ np.diag(1.0 / eigenvalues) @ vectors.T
+    softest = max(mid - radius, stiffest / _VARIANCE_RATIO_CAP)
+    angle = 0.5 * math.atan2(2.0 * p_eo, p_ee - p_oo)  # of the stiffest direction
+    cos, sin = math.cos(angle), math.sin(angle)
+    var_e = cos * cos / stiffest + sin * sin / softest
+    var_o = sin * sin / stiffest + cos * cos / softest
+    cov_eo = cos * sin * (1.0 / stiffest - 1.0 / softest)
     # the capped covariance keeps the mean finite along a ridge, where the
     # gradient component vanishes with the curvature
-    order = list(resolve_pair(0, 1, assignment))
-    return (covariance @ gradient)[order], covariance[np.ix_(order, order)]
+    mean = resolve_pair(var_e * g_e + cov_eo * g_o, cov_eo * g_e + var_o * g_o, assignment)
+    var_a, var_b = resolve_pair(var_e, var_o, assignment)
+    return np.array(mean), np.array([[var_a, cov_eo], [cov_eo, var_b]])
 
 
 def auto_plan(

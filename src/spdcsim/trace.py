@@ -13,9 +13,10 @@ is the one place that checks and inverts M: it applies the one divergence
 rule, M positive definite, and restricts M and the rows to the pump's
 support. The rate log|A|^2 is a real quadratic in the three mismatches
 (``_trace_gram``): ``biphoton_intensity`` evaluates it as one real
-exponential per point, and scans and their auto windows read it in the
-scan momenta (``analysis._log_intensity_model``, ``_scan_mismatches``).
-The amplitude adds the phase d1 G_uw + dk (G_vw + L/2). The exact-sinc mode
+exponential per point, and scans and their auto windows read its five
+coefficients in the scan momenta (``analysis._bilinear``,
+``_scan_mismatches``). The amplitude adds the phase d1 G_uw +
+dk (G_vw + L/2), which exact-sinc scans read the same way. The exact-sinc mode
 writes its phase-matching factor as an average over crystal depth,
 exp(i x) sinc x = (1/2) integral of exp(i x (1 + s)) over s in [-1, 1] with
 x = dk L/2, so at each depth the integrand is again a complex Gaussian and
@@ -381,7 +382,9 @@ def _trace_exact_sinc(q_A, q_B, system, assignment):
     Gaussian with i s w added to its linear term and i s (L/2) dk to its
     constant, where v = 0 (``_form_constants``). So its closed form is the s = 0
     amplitude times exp(B s + C s^2), with B = i phase - G_ww per point and
-    C = -G_ww / 2 (``_gaussian_amplitude``).
+    C = -G_ww / 2 (``_gaussian_amplitude``). Scans take the same product
+    from their plan's mismatches (``analysis._plan_scan``); this per-point
+    form is their oracle.
     """
     base, phase, ww = _gaussian_amplitude(q_A, q_B, system, assignment, 0.0)
     return base * depth_average(1j * phase - ww, -0.5 * ww, np.abs(base))

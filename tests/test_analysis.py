@@ -107,9 +107,10 @@ def test_exact_sinc_quadrature_scan_runs(system):
 
 
 # The default config's ea auto windows at 64^2 (half-widths in m of the
-# centred ranges of detectors A and B), as the SkylakeX kernel gives them.
-# auto_plan's eigh moves them by an ulp on some BLAS kernels, so the rates
-# are pinned on these fixed plans.
+# centred ranges of detectors A and B), as auto_plan gave them on the
+# SkylakeX kernel while it took the covariance from LAPACK's eigh. Its
+# closed-form window now puts x's range_b an ulp wider; the rates stay
+# pinned on these fixed plans.
 PINNED_WINDOWS = {
     "y": (0.005412172728792198, 0.005101786256980501),
     "x": (0.008357658579624661, 0.004008014264519482),
@@ -129,14 +130,38 @@ for axis, (half_a, half_b) in {PINNED_WINDOWS!r}.items():
                             (-half_a, half_a), (-half_b, half_b), 64)
     print(axis, hashlib.sha256(spdcsim.run_scan(plan, system).values.tobytes()).hexdigest())
 """
+# sha256 of the 64^2 auto-window run_scan grids with the 2 mm pinhole: the
+# default config's y and x scans and a 0.5 nm pulsed pump's y scan. The
+# window's moments are taken in floats, so no kernel moves them, and at
+# 64^2 the pinhole's box products rounded alike on the SkylakeX, Haswell,
+# Zen, Sandybridge and Prescott kernels.
+WINDOW_DIGESTS = {
+    "y": "e0639daa89b49b80b130195709481da2ab4028dc84190e88e039a3fd33fce442",
+    "x": "2924d530df0bd031d487984997643def5e517cd4d015640f36a756ba787c9bc9",
+    "pulsed-y": "f8fd269e20acfea6239263e1945fbd916045a5debb7d87beaccc9169272edca3",
+}
+WINDOW_DIGEST_SCRIPT = """\
+import hashlib, spdcsim
+from dataclasses import replace
+config = spdcsim.default_config()
+pulsed = replace(config, pump=replace(config.pump, spectral_mode="gaussian",
+                                      spectral_fwhm_nm=0.5))
+for label, run_config, axis in (("y", config, "y"), ("x", config, "x"), ("pulsed-y", pulsed, "y")):
+    system = spdcsim.resolve(run_config).system
+    plan = spdcsim.auto_plan(axis, spdcsim.DetectionAssignment.E_AT_A, system, 64)
+    dist = spdcsim.run_scan(plan, system, pinhole_diameter=2e-3)
+    print(label, hashlib.sha256(dist.values.tobytes()).hexdigest())
+"""
 
 
-@pytest.mark.parametrize("coretype", [None, "Sandybridge"])
-def test_gaussian_scan_rates_are_pinned_to_the_bit(coretype):
-    # OpenBLAS reads OPENBLAS_CORETYPE once, when numpy is imported, so each
-    # run is a fresh process: on the kernel picked for this CPU, and on the
-    # Sandybridge kernel. Where OpenBLAS has no run-time dispatch, or numpy
-    # uses another BLAS, the variable is ignored.
+def digests_on_kernel(script, coretype):
+    """The ``label digest`` lines that ``script`` prints, as a dict, on a BLAS kernel.
+
+    OpenBLAS reads OPENBLAS_CORETYPE once, when numpy is imported, so each
+    run is a fresh process: on the kernel picked for this CPU (None) or on
+    the named one. Where OpenBLAS has no run-time dispatch, or numpy uses
+    another BLAS, the variable is ignored.
+    """
     src = str(Path(analysis.__file__).resolve().parents[1])
     env = {
         **{k: v for k, v in os.environ.items() if k != "OPENBLAS_CORETYPE"},
@@ -144,9 +169,19 @@ def test_gaussian_scan_rates_are_pinned_to_the_bit(coretype):
     }
     if coretype:
         env["OPENBLAS_CORETYPE"] = coretype
-    proc = subprocess.run([sys.executable, "-c", RATE_DIGEST_SCRIPT], env=env, check=True,
+    proc = subprocess.run([sys.executable, "-c", script], env=env, check=True,
                           capture_output=True, text=True)
-    assert dict(line.split() for line in proc.stdout.splitlines()) == RATE_DIGESTS
+    return dict(line.split() for line in proc.stdout.splitlines())
+
+
+@pytest.mark.parametrize("coretype", [None, "Sandybridge"])
+def test_gaussian_scan_rates_are_pinned_to_the_bit(coretype):
+    assert digests_on_kernel(RATE_DIGEST_SCRIPT, coretype) == RATE_DIGESTS
+
+
+@pytest.mark.parametrize("coretype", [None, "Sandybridge", "Prescott"])
+def test_auto_window_scans_are_the_same_bits_on_every_kernel(coretype):
+    assert digests_on_kernel(WINDOW_DIGEST_SCRIPT, coretype) == WINDOW_DIGESTS
 
 
 # ---------------------------------------------------------------- auto window
@@ -233,6 +268,19 @@ def test_model_moments_match_six_point_difference(kind, axis, assignment, orthog
     # measured worst cases: 3.2e-13 of the largest entry, 2.2e-14 of a model width
     assert np.max(np.abs(covariance - ref_covariance)) <= 1e-12 * np.max(np.abs(ref_covariance))
     assert np.all(np.abs(mean - ref_mean) <= 1e-13 * np.sqrt(np.diag(ref_covariance)))
+
+
+def test_model_moments_reject_a_log_intensity_unbounded_in_every_direction(monkeypatch, system):
+    # every quadratic coefficient's sign flipped: the precision is negative definite
+    trace_gram = analysis._trace_gram
+
+    def convex(*args):
+        (kappa, *alpha), gram = trace_gram(*args)
+        return (kappa, *(-a for a in alpha)), gram
+
+    monkeypatch.setattr(analysis, "_trace_gram", convex)
+    with pytest.raises(DegenerateDistributionError, match="unbounded in every direction"):
+        auto_plan("y", EA, system, 64)
 
 
 # ---------------------------------------------------------------- summarize
@@ -576,13 +624,20 @@ def quadrature_scan(plan, system):
 
 
 @pytest.mark.parametrize("orthogonal", [0.0, 1e-3])
+@pytest.mark.parametrize("assignment", [EA, OA], ids=["ea", "oa"])
 @pytest.mark.parametrize("axis", ["y", "x"])
-@pytest.mark.parametrize("mode", ["exact_sinc"])  # Gaussian-mode scans: the two tests below
-@pytest.mark.parametrize("kind", ["cw", "pulsed"])
-def test_scan_on_broadcast_axes_matches_meshgrid_trace_bitwise(kind, mode, axis, orthogonal):
-    system = relabel_system(kind, mode)
-    plan = auto_plan(axis, EA, system, 24, orthogonal=orthogonal)
-    assert np.array_equal(bare_rates(plan, system), meshgrid_scan_values(plan, system))
+@pytest.mark.parametrize("kind", ["cw", "pulsed", "asymmetric"])
+def test_exact_sinc_scan_rates_match_the_closed_form_on_auto_windows(
+    kind, axis, assignment, orthogonal
+):
+    # run_scan's outer sums of log-rates and phases against the per-point
+    # closed form (trace._trace_exact_sinc) cell by cell; measured worst
+    # case 3.0e-14
+    system = relabel_system(kind, "exact_sinc")
+    plan = auto_plan(axis, assignment, system, 24, orthogonal=orthogonal)
+    got = bare_rates(plan, system)
+    expected = meshgrid_scan_values(plan, system)
+    assert np.max(np.abs(got - expected) / expected) <= 1e-13
 
 
 @pytest.mark.parametrize("orthogonal", [0.0, 1e-3])
@@ -617,6 +672,19 @@ def test_gaussian_scan_rates_keep_the_zero_cells_of_8x_windows(kind, axis):
     assert np.array_equal(got == 0.0, expected == 0.0)
     normal = expected >= np.finfo(float).tiny
     assert np.max(np.abs(got[normal] - expected[normal]) / expected[normal]) <= 1e-12
+
+
+def test_exact_sinc_scans_and_sweeps_never_trace_a_cell_alone(monkeypatch, system):
+    def refused(*args, **kwargs):
+        raise AssertionError("an exact-sinc scan traced its cells one closed form at a time")
+
+    monkeypatch.setattr(trace, "spatial_biphoton", refused)
+    monkeypatch.setattr(trace, "_trace_exact_sinc", refused)
+    system = replace(system, mode="exact_sinc")
+    plan = auto_plan("y", EA, system, 16)
+    assert summarize(run_scan(plan, system, pinhole_diameter=PINHOLE)).pearson > 0.0
+    assert len(waist_sweep("y", [31e-6, 500e-6], system, plan=plan)) == 2
+    assert 31e-6 < find_sign_transition("y", 31e-6, 500e-6, 1e-6, system, plan=plan) < 500e-6
 
 
 def test_quadrature_scan_on_broadcast_axes_matches_meshgrid_trace_bitwise(system):
@@ -1004,6 +1072,40 @@ def test_sweeps_reject_rates_whose_total_overflows(monkeypatch, system):
         waist_sweep("y", [31e-6, 500e-6], system, plan=plan)
     with pytest.raises(ValueError, match="non-finite total weight"):
         find_sign_transition("y", 31e-6, 500e-6, 1e-6, system, plan=plan)
+
+
+def overflowing_covariance_grid(shape):
+    """Cells of 1e300, two opposite corners of 2e307: a finite total, an overflowing covariance."""
+    values = np.full(shape, 1e300)
+    values[0, 0] = values[-1, -1] = 2e307
+    return values
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_summarize_rejects_a_covariance_that_overflows():
+    u = np.linspace(-1000.0, 1000.0, 8)
+    dist = synthetic_distribution(overflowing_covariance_grid((8, 8)), u, u)
+    with pytest.raises(ValueError, match="covariance is not finite"):
+        summarize(dist)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")  # inf * 0
+@pytest.mark.parametrize("pinhole", [0.0, PINHOLE])
+def test_sweeps_reject_rates_whose_covariance_overflows(monkeypatch, system, pinhole):
+    plan_scan = analysis._plan_scan
+
+    def overflowing(*args):
+        axes, rates = plan_scan(*args)
+        return axes, lambda waist: overflowing_covariance_grid(rates(waist).shape)
+
+    monkeypatch.setattr(analysis, "_plan_scan", overflowing)
+    plan = auto_plan("y", EA, system, 16)
+    with pytest.raises(ValueError, match="covariance is not finite"):
+        waist_sweep("y", [31e-6, 500e-6], system, plan=plan, pinhole_diameter=pinhole)
+    with pytest.raises(ValueError, match="covariance is not finite"):
+        find_sign_transition("y", 31e-6, 500e-6, 1e-6, system, plan=plan,
+                             pinhole_diameter=pinhole)
 
 
 @pytest.mark.parametrize("diameter, message", [
