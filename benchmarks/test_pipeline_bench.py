@@ -22,8 +22,8 @@ Every row uses the default config, whose 2 mm pinhole is on. The rows are:
   scan at 512^2 and 1024^2.
 - ``waist_sweep``: 40 waists from 31 to 500 um on the y axis at 64^2.
   ``find_sign_transition``: the y sign flip in that bracket to 1 um. Each
-  is timed two ways: ``moments`` is the library's, the pinhole's moments
-  read from three vectors of each waist's unsmoothed grid;
+  is timed two ways: ``moments`` is the library's, the moments of each
+  waist's unsmoothed grid read in the pinhole's window coordinates;
   ``smoothed_grid`` is one whole ``summarize(run_scan(...))`` per waist.
   Their Pearson values must agree to ``MOMENTS_PEARSON_TOLERANCE`` of
   ``tests/test_analysis.py``, and the two bisections must return the same

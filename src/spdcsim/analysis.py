@@ -20,7 +20,7 @@ from .trace import (
     OpticalSystem,
     _log_intensity,
     _mismatches,
-    _pinhole_boxes,
+    _pinhole_windows,
     _trace_gram,
     depth_average,
     pinhole_smooth,
@@ -303,28 +303,24 @@ def summarize(dist: JointDistribution) -> CorrelationSummary:
     )
 
 
-def _moments(values, q_a, q_b, boxes=()):
-    """Pearson, variances and covariance of S = B_a G B_b as a mass function on (q_a, q_b).
+def _moments(values, q_a, q_b, spread_a=0.0, spread_b=0.0):
+    """Pearson, variances and covariance of ``values`` as a mass function on (q_a, q_b).
 
-    ``values`` is the grid G and ``boxes`` the ``trace._pinhole_boxes`` of
-    a pinhole: S is then ``pinhole_smooth(G)``, and with no boxes S = G and
-    the operations are ``summarize``'s, in its order. Each box B is a
-    symmetric circulant whose rows hold 2 taps + 1 ones, so S needs no
-    N x N product. Up to the window weights, its marginals are B_a (G 1)
-    and B_b (G^T 1) and S c_b is B_a (G (B_b c_b)): three passes over G and
-    a few length-N products. The weights cancel in the means and the
-    variances, and of the covariance's only axis b's is left.
-    Its checks need no pass of their own: with no negative cell, a NaN or
-    inf cell or an overflowing sum leaves the total non-finite (ValueError)
-    and an all-zero grid leaves it zero (DegenerateDistributionError); a
-    covariance that overflows from a finite total is a ValueError too.
+    With the nodes as q and no spreads (``summarize``) these are the
+    grid's own moments. In a pinhole's window coordinates
+    (``trace._pinhole_windows``: q the window means s, spread the window
+    variances v) they are those of the smoothed grid, read from the bare
+    one: for marginals m and total T of the grid G, mean sum m_j s_j / T,
+    variance sum m_j ((s_j - mean)^2 + v_j) / T and covariance
+    (s_a - mean_a)^T G (s_b - mean_b) / T. Three passes over the grid
+    either way. ``np.einsum`` sums the products and calls no BLAS, so no
+    BLAS kernel moves their bits. The checks need no pass of their own:
+    with no negative cell, a NaN or inf cell or an overflowing sum leaves
+    the total non-finite (ValueError) and an all-zero grid leaves it zero
+    (DegenerateDistributionError); a covariance that overflows from a
+    finite total is a ValueError too.
     """
-    box_of = {axis: box for axis, _, box in boxes}
-
-    def smooth(axis, vector):
-        return box_of[axis] @ vector if axis in box_of else vector
-
-    marginal_a = smooth(0, values.sum(axis=1))
+    marginal_a = values.sum(axis=1)
     total = float(marginal_a.sum())
     if not math.isfinite(total):
         if np.isfinite(values).all():
@@ -335,18 +331,15 @@ def _moments(values, q_a, q_b, boxes=()):
     # each marginal over its own sum: support on one row or column gets a
     # weight of exactly 1 there, so the mean is that node and the variance 0
     weights_a = marginal_a / total
-    marginal_b = smooth(1, values.sum(axis=0))
+    marginal_b = values.sum(axis=0)
     weights_b = marginal_b / float(marginal_b.sum())
     q_a = np.asarray(q_a, dtype=float)
     q_b = np.asarray(q_b, dtype=float)
-    centred_a = q_a - float(weights_a @ q_a)
-    centred_b = q_b - float(weights_b @ q_b)
-    var_a = float(weights_a @ centred_a**2)
-    var_b = float(weights_b @ centred_b**2)
-    cov_ab = float(centred_a @ (smooth(0, values @ smooth(1, centred_b)) / total))
-    for axis, taps, _ in boxes:
-        if axis == 1:  # S c_b carries both window weights, the total only axis a's
-            cov_ab /= 2 * taps + 1
+    centred_a = q_a - float(np.einsum("i,i", weights_a, q_a))
+    centred_b = q_b - float(np.einsum("i,i", weights_b, q_b))
+    var_a = float(np.einsum("i,i", weights_a, centred_a**2 + spread_a))
+    var_b = float(np.einsum("i,i", weights_b, centred_b**2 + spread_b))
+    cov_ab = float(np.einsum("i,i", centred_a, np.einsum("ij,j->i", values, centred_b) / total))
     if not math.isfinite(cov_ab):
         raise ValueError("distribution's covariance is not finite: its products overflow")
     if var_a <= 0.0 or var_b <= 0.0:
@@ -461,11 +454,11 @@ def _pearson_by_waist(axis, system, plan, points, pinhole_diameter):
     Without a ``plan`` the scan takes the ea auto window of ``system`` with
     ``points`` per axis, 64 when None. A given plan must scan ``axis``, and
     ``points``, when given, must be the plan's. The plan's work and checks
-    run here, once: the scan's (``_plan_scan``) and the pinhole's boxes,
-    whose checks raise before any box is built. Each waist redoes only the
-    pump's work, the bare rates, and reads Pearson from ``_moments`` of
-    them and the boxes, whose checks are the rates' only ones: no
-    ``JointDistribution`` or smoothed grid is formed.
+    run here, once: the scan's (``_plan_scan``) and the pinhole's, which
+    turns the momenta into window coordinates (``_pinhole_windows``). Each
+    waist redoes only the pump's work, the bare rates, and reads Pearson
+    from ``_moments`` of them in those coordinates, whose checks are the
+    rates' only ones: no ``JointDistribution`` or smoothed grid is formed.
     """
     if plan is None:
         plan = auto_plan(
@@ -475,13 +468,11 @@ def _pearson_by_waist(axis, system, plan, points, pinhole_diameter):
         raise ValueError(f"axis {axis!r} differs from the plan's axis {plan.axis!r}")
     elif points is not None and points != plan.points:
         raise ValueError(f"points={points} differs from the plan's {plan.points} points")
-    (_, (momenta_a, momenta_b), steps), rates = _plan_scan(plan, system)
-    boxes = []
-    if pinhole_diameter:
-        boxes = list(_pinhole_boxes(pinhole_diameter, steps, (plan.points, plan.points)))
+    (_, momenta, steps), rates = _plan_scan(plan, system)
+    (s_a, v_a), (s_b, v_b) = _pinhole_windows(pinhole_diameter, steps, momenta)
 
     def pearson_at(waist):
-        return _moments(rates(waist), momenta_a, momenta_b, boxes)[0]
+        return _moments(rates(waist), s_a, s_b, v_a, v_b)[0]
 
     return pearson_at
 
@@ -501,9 +492,10 @@ def waist_sweep(
     ``points`` per axis (64 when None); a plan on another axis than
     ``axis``, or of another size than a given ``points``, raises ValueError.
     Each waist's Pearson is that of ``summarize(run_scan(...))`` at that
-    waist up to rounding, read from the bare rates and the pinhole's boxes
-    (``_moments``), so no smoothed grid is formed. Rates that are all zero
-    raise DegenerateDistributionError, and non-finite ones ValueError.
+    waist up to rounding, read from the bare rates in the pinhole's
+    window coordinates (``_moments``), so no smoothed grid is formed.
+    Rates that are all zero raise DegenerateDistributionError, and
+    non-finite ones ValueError.
     """
     waists = [float(w) for w in waists]
     bad = [w for w in waists if not 0.0 < w < math.inf]

@@ -552,27 +552,13 @@ def biphoton_intensity(
     return np.exp(_log_intensity(_trace_gram(system, SINC_GAUSSIAN_GAMMA)[0], *mismatches))
 
 
-def _box_matrix(n: int, taps: int) -> np.ndarray:
-    """The n x n circulant of the unnormalized box filter along one grid axis.
+def _pinhole_taps(diameter: float, steps, shape):
+    """(axis, taps) for each grid axis that the pinhole smooths, as a list.
 
-    Entry (i, j) is 1.0 where the circular lag min(|i - j|, n - |i - j|) is
-    at most ``taps`` and 0.0 elsewhere; the pinhole filter scales by
-    1 / (2 taps + 1) once, afterwards. Its rows are the windows of one
-    length-n row read circularly, taken from that row doubled, so no
-    n x n index array is made.
-    """
-    lag = np.arange(n)
-    row = (np.minimum(lag, n - lag) <= taps).astype(float)
-    windows = np.lib.stride_tricks.sliding_window_view(np.concatenate((row, row)), n)
-    return windows[n:0:-1].copy()
-
-
-def _pinhole_boxes(diameter: float, steps, shape):
-    """(axis, taps, ``_box_matrix``) per smoothed axis, each box built when reached.
-
-    ``taps`` counts the nodes on either side within +-diameter/2. Every
-    check of ``pinhole_smooth``'s arguments, and of the diameter against
-    each axis's span, raises ValueError before the first box is built.
+    ``taps`` counts the nodes on either side within +-diameter/2, so each
+    node's window holds 2 taps + 1 nodes; an axis with no tap is left out.
+    Every check of ``pinhole_smooth``'s arguments, and of the diameter
+    against each axis's span, raises ValueError here.
     """
     if not 0.0 <= diameter < math.inf:
         raise ValueError(f"pinhole diameter must be finite and non-negative, got {diameter!r}")
@@ -590,9 +576,51 @@ def _pinhole_boxes(diameter: float, steps, shape):
                 f"along axis {axis}"
             )
         taps.append(int(math.floor(diameter / (2.0 * abs(step)) + 1e-12)))
-    for axis, count in enumerate(taps):
-        if count:
-            yield axis, count, _box_matrix(shape[axis], count)
+    return [(axis, count) for axis, count in enumerate(taps) if count]
+
+
+def _pinhole_windows(diameter: float, steps, momenta):
+    """Each axis's momenta in window coordinates: (s, v) per node, one pair per axis.
+
+    s_j and v_j are the mean and the variance of the momenta over node j's
+    circular window of ``_pinhole_taps``. The pinhole's smoothed grid
+    S = B_a G B_b, with B the normalized symmetric box of ``pinhole_smooth``,
+    then has the moments of G read at the nodes s, with the mean of v added
+    to each variance (``analysis._moments``). An axis with no tap keeps
+    s = q and v = 0.
+    """
+    windows = [(np.asarray(q, dtype=float), 0.0) for q in momenta]
+    for axis, taps in _pinhole_taps(diameter, steps, [len(q) for q in momenta]):
+        q = windows[axis][0]
+        n = len(q)
+        nodes = q[(np.arange(n)[:, np.newaxis] + np.arange(-taps, taps + 1)) % n]
+        windows[axis] = (nodes.mean(axis=1), nodes.var(axis=1))
+    return windows
+
+
+def _window_sums(values: np.ndarray, taps: int) -> np.ndarray:
+    """The circular sum of the 2 taps + 1 rows around each row of a 2-D grid.
+
+    Block prefix and suffix sums (M. van Herk, Pattern Recognit. Lett. 13,
+    517 (1992); J. Gil and M. Werman, IEEE TPAMI 15, 504 (1993)): the rows
+    are padded circularly and cut into blocks of w = 2 taps + 1, so the
+    window of row b w + k is block b from its row k on plus block b + 1 up
+    to its row k - 1. Both running sums are whole-slab adds, about three
+    per cell for any width, and no window is a difference of sums.
+    """
+    n, width = len(values), 2 * taps + 1
+    blocks = (n - 1) // width + 2
+    padded = values[np.arange(-taps, blocks * width - taps) % n]
+    padded = padded.reshape(blocks, width, -1)
+    sums = np.empty_like(padded[1:])
+    sums[:, 1] = padded[1:, 0]  # prefix sums of the next block
+    for k in range(2, width):
+        np.add(sums[:, k - 1], padded[1:, k - 1], out=sums[:, k])
+    for k in range(width - 2, -1, -1):  # suffix sums, in place
+        padded[:-1, k] += padded[:-1, k + 1]
+    sums[:, 0] = padded[:-1, 0]
+    sums[:, 1:] += padded[:-1, 1:]
+    return sums.reshape(-1, values.shape[1])[:n]
 
 
 def pinhole_smooth(values: np.ndarray, steps, diameter: float) -> np.ndarray:
@@ -612,21 +640,19 @@ def pinhole_smooth(values: np.ndarray, steps, diameter: float) -> np.ndarray:
     an unsmoothed copy; a NaN, infinite or negative diameter raises
     ValueError.
 
-    The filter is one matrix per axis, the 0/1 circulant of
-    ``_box_matrix``: the smoothed grid is B_a G B_b scaled by the two
-    window weights, one product and one scaling per axis, each matrix
-    built and freed in turn (``_pinhole_boxes``). Only
-    non-negative terms are ever added, so no cell can cancel to a wrong or
-    negative value. A running (cumulative) sum takes each window as a
-    difference of two large prefix sums: tail cells would then carry an
-    absolute error near 1e-16 of the peak and could go negative, which
+    Each axis is one circular window sum (``_window_sums``) and one
+    scaling by 1 / (2 taps + 1); axis 1 is summed on the transposed grid.
+    Only non-negative terms are ever added, so no cell can cancel to a
+    wrong or negative value. A running (cumulative) sum takes each window
+    as a difference of two large prefix sums: tail cells would then carry
+    an absolute error near 1e-16 of the peak and could go negative, which
     ``JointDistribution`` rejects.
     """
     grid = np.asarray(values, dtype=float)
     if grid.ndim != 2:
         raise ValueError("expected a 2-D scan grid")
     out = grid
-    for axis, taps, box in _pinhole_boxes(diameter, steps, grid.shape):
-        out = box @ out if axis == 0 else out @ box
+    for axis, taps in _pinhole_taps(diameter, steps, grid.shape):
+        out = _window_sums(out, taps) if axis == 0 else _window_sums(out.T, taps).T
         out *= 1.0 / (2 * taps + 1)
     return grid.copy() if out is grid else out

@@ -34,7 +34,8 @@ from spdcsim.kernel import MODE_GAUSSIAN_APPROX, ParaxialWarning
 from spdcsim.trace import (
     DetectionAssignment,
     SpectralFilter,
-    _pinhole_boxes,
+    _pinhole_taps,
+    _pinhole_windows,
     biphoton_intensity,
     integrate_quadrature,
     pinhole_smooth,
@@ -130,15 +131,19 @@ for axis, (half_a, half_b) in {PINNED_WINDOWS!r}.items():
                             (-half_a, half_a), (-half_b, half_b), 64)
     print(axis, hashlib.sha256(spdcsim.run_scan(plan, system).values.tobytes()).hexdigest())
 """
-# sha256 of the 64^2 auto-window run_scan grids with the 2 mm pinhole: the
-# default config's y and x scans and a 0.5 nm pulsed pump's y scan. The
-# window's moments are taken in floats, so no kernel moves them, and at
-# 64^2 the pinhole's box products rounded alike on the SkylakeX, Haswell,
-# Zen, Sandybridge and Prescott kernels.
+# sha256 of the 64^2 and 256^2 auto-window run_scan grids with the 2 mm
+# pinhole: the default config's y and x scans and a 0.5 nm pulsed pump's.
+# The window's moments and the pinhole's window sums are taken in floats
+# with no BLAS call, so no kernel moves them.
 WINDOW_DIGESTS = {
-    "y": "e0639daa89b49b80b130195709481da2ab4028dc84190e88e039a3fd33fce442",
-    "x": "2924d530df0bd031d487984997643def5e517cd4d015640f36a756ba787c9bc9",
-    "pulsed-y": "f8fd269e20acfea6239263e1945fbd916045a5debb7d87beaccc9169272edca3",
+    "y-64": "7cb1d564c317a30d76bdf25302812e6dfa9ef5813274c86c05ef54045a871ebe",
+    "x-64": "0a62baf86eec3980739073e5bcc6bc2d6694db646ac367567fe134d1d6891454",
+    "pulsed-y-64": "f6f4ca5de99a9d8a8857cf9d3bd41f3ebe668bccac241ebb4c855ed9d70278c9",
+    "pulsed-x-64": "d78b97437226735e5df43de9cf3a7da800ee3a4a92492aea41295410e3ba2bed",
+    "y-256": "398569e39fe1eb8214b9bbbbedf55520bddbbc6bd33d787a8512d414230095b3",
+    "x-256": "a887e84285cc132f1ae2bf374491538442e534e1229b20cd0f1b69042066742e",
+    "pulsed-y-256": "99e4cbb11b5e01c863a3759e503a7aced8bf670d54923ae711306856e0a268f9",
+    "pulsed-x-256": "a0fbee33c7754b0a3d973b52630e9c104e9d29d0c80af03bd193b1225320944f",
 }
 WINDOW_DIGEST_SCRIPT = """\
 import hashlib, spdcsim
@@ -146,11 +151,13 @@ from dataclasses import replace
 config = spdcsim.default_config()
 pulsed = replace(config, pump=replace(config.pump, spectral_mode="gaussian",
                                       spectral_fwhm_nm=0.5))
-for label, run_config, axis in (("y", config, "y"), ("x", config, "x"), ("pulsed-y", pulsed, "y")):
-    system = spdcsim.resolve(run_config).system
-    plan = spdcsim.auto_plan(axis, spdcsim.DetectionAssignment.E_AT_A, system, 64)
-    dist = spdcsim.run_scan(plan, system, pinhole_diameter=2e-3)
-    print(label, hashlib.sha256(dist.values.tobytes()).hexdigest())
+for points in (64, 256):
+    for label, run_config in (("", config), ("pulsed-", pulsed)):
+        system = spdcsim.resolve(run_config).system
+        for axis in ("y", "x"):
+            plan = spdcsim.auto_plan(axis, spdcsim.DetectionAssignment.E_AT_A, system, points)
+            dist = spdcsim.run_scan(plan, system, pinhole_diameter=2e-3)
+            print(f"{label}{axis}-{points}", hashlib.sha256(dist.values.tobytes()).hexdigest())
 """
 
 
@@ -809,19 +816,16 @@ def reference_pearson_at(plan, system, waist, pinhole_diameter):
     return summarize(run_scan(plan, swept, pinhole_diameter=pinhole_diameter)).pearson
 
 
-def plan_boxes(plan, pinhole_diameter):
-    """The ``_pinhole_boxes`` of a plan's grid, as a list."""
-    if not pinhole_diameter:
-        return []
-    steps = [np.diff(np.linspace(*rng, plan.points)[:2])[0] for rng in (plan.range_a, plan.range_b)]
-    return list(_pinhole_boxes(pinhole_diameter, steps, (plan.points, plan.points)))
+def plan_steps(plan):
+    """The position step of each axis of a plan's grid."""
+    return [np.diff(np.linspace(*rng, plan.points)[:2])[0] for rng in (plan.range_a, plan.range_b)]
 
 
 def moments_pearson_at(plan, system, waist, pinhole_diameter):
-    """One whole scan's bare rates per waist, read by ``_moments`` with the plan's boxes."""
+    """One whole scan's bare rates per waist, read by ``_moments`` in window coordinates."""
     (_, momenta, _), rates = analysis._plan_scan(plan, system.with_isotropic_waist(waist))
-    boxes = plan_boxes(plan, pinhole_diameter)
-    return analysis._moments(rates(None), *momenta, boxes)[0]
+    (s_a, v_a), (s_b, v_b) = _pinhole_windows(pinhole_diameter, plan_steps(plan), momenta)
+    return analysis._moments(rates(None), s_a, s_b, v_a, v_b)[0]
 
 
 # the sweeps trace the plan once and redo only the pump's work per waist;
@@ -919,7 +923,8 @@ def test_waist_sweep_matches_the_smoothed_grid_with_taps_on_one_axis(
 ):
     system = relabel_system(kind, mode)
     plan, pinhole = one_axis_plan(system, axis, points, smoothed)
-    assert [box_axis for box_axis, _, _ in plan_boxes(plan, pinhole)] == [smoothed]
+    taps = _pinhole_taps(pinhole, plan_steps(plan), (plan.points, plan.points))
+    assert [tap_axis for tap_axis, _ in taps] == [smoothed]
     assert_sweep_matches_the_smoothed_grid(axis, system, plan, pinhole, count)
 
 
@@ -964,16 +969,16 @@ def test_sweeps_never_form_the_smoothed_grid(monkeypatch, system):
 
 @pytest.mark.parametrize("axes", [(0,), (1,), (0, 1)])
 def test_moments_match_summarize_of_the_smoothed_grid(axes):
+    from test_trace import rolled_pinhole_reference  # test_trace imports this module
+
     rng = np.random.default_rng(11)
     u = np.linspace(-3.0, 2.0, 24)
     grid = rng.random((24, 24)) ** 4
-    steps = (1e-4, 1e-4)
-    boxes = [box for box in _pinhole_boxes(7.5e-4, steps, grid.shape) if box[0] in axes]
-    smoothed = grid
-    for axis, taps, box in boxes:
-        smoothed = (box @ smoothed if axis == 0 else smoothed @ box) / (2 * taps + 1)
-    want = summarize(synthetic_distribution(smoothed, u, u))
-    pearson, var_a, var_b, cov_ab = analysis._moments(grid, u, u, boxes)
+    # a step too wide for a tap leaves that axis unsmoothed
+    steps = [1e-4 if axis in axes else 1e-3 for axis in (0, 1)]
+    want = summarize(synthetic_distribution(rolled_pinhole_reference(grid, steps, 7.5e-4), u, u))
+    (s_a, v_a), (s_b, v_b) = _pinhole_windows(7.5e-4, steps, (u, u))
+    pearson, var_a, var_b, cov_ab = analysis._moments(grid, s_a, s_b, v_a, v_b)
     got = np.array([[var_a, cov_ab], [cov_ab, var_b]])
     assert pearson == pytest.approx(want.pearson, rel=1e-14)
     assert np.allclose(got, want.covariance, rtol=1e-14, atol=0.0)
@@ -987,9 +992,9 @@ def test_moments_reject_zero_variance_left_by_one_axis_box():
     grid = np.zeros((16, 16))
     grid[5, 9] = 1.0
     u = np.linspace(-1.0, 1.0, 16)
-    boxes = [box for box in _pinhole_boxes(7.5e-4, (1e-4, 1e-4), grid.shape) if box[0] == 0]
+    (s_a, v_a), (s_b, v_b) = _pinhole_windows(7.5e-4, (1e-4, 1e-3), (u, u))
     with pytest.raises(DegenerateDistributionError, match="zero variance"):
-        analysis._moments(grid, u, u, boxes)
+        analysis._moments(grid, s_a, s_b, v_a, v_b)
 
 
 def paraxial_warnings(call):

@@ -263,17 +263,18 @@ def test_fixed_window_scan_matches_golden_output(tmp_path, name):
     assert_matches_golden(out, name)
 
 
-def test_pulsed_golden_output_does_not_depend_on_the_blas_kernel(tmp_path):
+@pytest.mark.parametrize("coretype", ["Sandybridge", "Prescott"])
+def test_pulsed_golden_output_does_not_depend_on_the_blas_kernel(tmp_path, coretype):
     # OpenBLAS reads OPENBLAS_CORETYPE once, when numpy is imported, so the
-    # scan runs in a fresh process on the Sandybridge kernel in place of the
-    # one picked for this CPU. Where OpenBLAS has no run-time dispatch, or
-    # numpy uses another BLAS, the variable is ignored and this is one more
-    # run on the default kernel.
+    # scan runs in a fresh process on the named kernel in place of the one
+    # picked for this CPU. Where OpenBLAS has no run-time dispatch, or numpy
+    # uses another BLAS, the variable is ignored and this is one more run on
+    # the default kernel.
     out = tmp_path / "pulsed.csv"
     src = str(Path(cli.__file__).resolve().parents[1])
     env = {
         **os.environ,
-        "OPENBLAS_CORETYPE": "Sandybridge",
+        "OPENBLAS_CORETYPE": coretype,
         "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])),
     }
     command = [sys.executable, "-m", "spdcsim", "scan", "--config", str(GOLDEN / "pulsed.yaml")]
@@ -281,28 +282,49 @@ def test_pulsed_golden_output_does_not_depend_on_the_blas_kernel(tmp_path):
     assert_matches_golden(out, "pulsed")
 
 
-def test_sweep_and_transition_do_not_depend_on_the_blas_kernel(tmp_path):
-    # as for the pulsed golden grid: a fresh process on the Sandybridge
-    # kernel. The sweeps hoist the plan's products out of the waist loop;
-    # every line after the digest must still be this process's own.
+# two drawn configs whose 40-waist sweeps (31-500 um) each hold a Pearson
+# within 1e-16 of a half-way point of its 12 printed digits (x at 355.69 um,
+# y at 163.28 um), so one ulp of the moments' sums shows in the CSV
+TIE_CONFIGS = {
+    "x": "crystal: {length_mm: 4.0227}\nfilters: {fwhm_nm: 4.9186}\n"
+         "geometry: {half_open_angle_ext_deg: 6.2533}\n"
+         "pump: {waist_x_um: 45.581, waist_y_um: 33.171}\n",
+    "y": "crystal: {length_mm: 4.1631}\nfilters: {fwhm_nm: 4.7804}\n"
+         "geometry: {half_open_angle_ext_deg: 5.8261}\n"
+         "pump: {waist_x_um: 43.019, waist_y_um: 28.383}\n",
+}
+
+
+@pytest.mark.parametrize("coretype", ["Sandybridge", "Prescott"])
+def test_sweep_and_transition_do_not_depend_on_the_blas_kernel(tmp_path, coretype):
+    # as for the pulsed golden grid: one fresh process on the named kernel
+    # runs every command; every line after the digest must be this
+    # process's own.
+    sweep = ["--wmin", "31", "--wmax", "500", "--steps", "40"]
+    commands = {
+        "sweep": ["sweep", "--axis", "y", *sweep],
+        "transition": ["transition", "--axis", "y", "--wlo", "31", "--whi", "500", "--tol", "1"],
+    }
+    for axis, body in TIE_CONFIGS.items():
+        config = tmp_path / f"tie_{axis}.yaml"
+        config.write_text(body)
+        commands[f"tie_{axis}"] = ["sweep", "--config", str(config), "--axis", axis, *sweep]
+    there = {name: tmp_path / f"{name}_there.csv" for name in commands}
+    argvs = [[*argv, "--out", str(there[name])] for name, argv in commands.items()]
     src = str(Path(cli.__file__).resolve().parents[1])
     env = {
         **os.environ,
-        "OPENBLAS_CORETYPE": "Sandybridge",
+        "OPENBLAS_CORETYPE": coretype,
         "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])),
     }
-    commands = {
-        "sweep": ["sweep", "--axis", "y", "--wmin", "31", "--wmax", "500", "--steps", "40"],
-        "transition": ["transition", "--axis", "y", "--wlo", "31", "--whi", "500", "--tol", "1"],
-    }
+    script = f"from spdcsim import cli\nfor argv in {argvs!r}:\n    assert cli.main(argv) == 0\n"
+    subprocess.run([sys.executable, "-c", script], env=env, check=True, capture_output=True)
     for name, argv in commands.items():
-        here, there = tmp_path / f"{name}_here.csv", tmp_path / f"{name}_there.csv"
+        here = tmp_path / f"{name}_here.csv"
         assert main([*argv, "--out", str(here)]) == 0
-        command = [sys.executable, "-m", "spdcsim", *argv, "--out", str(there)]
-        subprocess.run(command, env=env, check=True, capture_output=True)
         lines = here.read_text().splitlines()
         assert lines[0].startswith("# config_digest=")
-        assert there.read_text().splitlines()[1:] == lines[1:]
+        assert there[name].read_text().splitlines()[1:] == lines[1:]
 
 
 def test_exact_sinc_golden_grid_matches_quadrature_oracle():

@@ -867,6 +867,7 @@ PINHOLE_CASES = [
     ((15, 15), (1e-4, 1e-4), 1.4e-3),  # widest aperture the span allows
     ((16, 16), (1e-4, 1e-4), 1.5e-3),  # 15-node window: the band wraps past the corners
     ((13, 20), (1e-4, 1e-4), 1.2e-3),  # 13-node window covers all of axis 0
+    ((64, 70), (1e-4, 9e-5), 1.1e-3),  # 11- and 13-node windows: several blocks, the last partial
 ]
 
 
